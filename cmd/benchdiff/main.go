@@ -7,8 +7,8 @@
 //   - allocs/op increases for any steady-state evaluator (benchmarks whose
 //     name contains "evaluate" — their allocation-free contract is exact,
 //     not statistical) or for any arena-backed hot path (names starting
-//     with "partition_", "portfolio_" or "schedule_batch_" — their pooled
-//     scratch makes allocs/op deterministic, so growth is a leak), or
+//     with "partition_" or "portfolio_" — their pooled scratch makes
+//     allocs/op deterministic, so growth is a leak), or
 //   - a baseline benchmark is missing from the fresh snapshot.
 //
 // Faster-than-baseline results and new benchmarks never fail the gate.
@@ -125,7 +125,7 @@ func allocGated(name string) bool {
 		return true
 	}
 	lower := strings.ToLower(name)
-	for _, prefix := range []string{"partition_", "portfolio_", "schedule_batch_"} {
+	for _, prefix := range []string{"partition_", "portfolio_"} {
 		if strings.HasPrefix(lower, prefix) {
 			return true
 		}

@@ -36,19 +36,36 @@ type Table struct {
 // New returns an empty reservation table for machine m at initiation
 // interval ii ≥ 1.
 func New(m *machine.Config, ii int) *Table {
+	t := &Table{}
+	t.Reset(m, ii)
+	return t
+}
+
+// Reset empties the table and re-arms it for machine m at initiation
+// interval ii ≥ 1, reusing its buffers where their capacity suffices.
+func (t *Table) Reset(m *machine.Config, ii int) {
 	if ii < 1 {
 		panic(fmt.Sprintf("mrt: II %d < 1", ii))
 	}
-	t := &Table{II: ii, m: m, occ: m.XferOccupancy()}
-	t.fu = make([][]int, m.Clusters)
-	for c := range t.fu {
-		t.fu[c] = make([]int, isa.NumUnitKinds*ii)
+	t.II, t.m, t.occ = ii, m, m.XferOccupancy()
+	t.fu = resetRows(t.fu, m.Clusters, isa.NumUnitKinds*ii)
+	t.xfer = resetRows(t.xfer, m.Channels(), ii)
+}
+
+// resetRows returns rows zeroed and shaped n × width, reusing storage.
+func resetRows(rows [][]int, n, width int) [][]int {
+	if cap(rows) < n {
+		rows = append(rows[:cap(rows)], make([][]int, n-cap(rows))...)
 	}
-	t.xfer = make([][]int, m.Channels())
-	for ch := range t.xfer {
-		t.xfer[ch] = make([]int, ii)
+	rows = rows[:n]
+	for i, r := range rows {
+		if cap(r) < width {
+			r = make([]int, width)
+		}
+		rows[i] = r[:width]
+		clear(rows[i])
 	}
-	return t
+	return rows
 }
 
 func (t *Table) slot(cycle int) int {

@@ -23,10 +23,28 @@ type Pressure struct {
 
 // New returns an empty pressure tracker at initiation interval ii ≥ 1.
 func New(ii int) *Pressure {
+	p := &Pressure{}
+	p.Reset(ii)
+	return p
+}
+
+// Reset empties the tracker and re-arms it at initiation interval ii ≥ 1,
+// reusing its buffers where their capacity suffices.
+func (p *Pressure) Reset(ii int) {
 	if ii < 1 {
 		panic(fmt.Sprintf("regpress: II %d < 1", ii))
 	}
-	return &Pressure{II: ii, live: make([]int, ii)}
+	p.II, p.used = ii, 0
+	if cap(p.live) < ii {
+		p.live = make([]int, ii)
+	}
+	p.live = p.live[:ii]
+	clear(p.live)
+	if cap(p.scratch) < ii {
+		p.scratch = nil
+	} else {
+		p.scratch = p.scratch[:ii]
+	}
 }
 
 // spanApply adds delta to every slot covered by [start, end), walking at

@@ -1,7 +1,8 @@
 package schedule
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/ddg"
 	"repro/internal/isa"
@@ -62,6 +63,7 @@ type usePlan struct {
 }
 
 // plan is a fully-checked tentative placement of node v at (cluster, t).
+// Plans are recycled through the probe scratch (newPlan/freePlan).
 type plan struct {
 	v, cluster, t int
 
@@ -76,43 +78,249 @@ type plan struct {
 // merit is the §3.3.1 figure of merit: the fractions of remaining bus,
 // per-cluster memory and per-cluster register-lifetime capacity this
 // placement consumes (2·NClusters+1 components, with the per-cluster
-// memory components of the §3.3.4 extension).
+// memory components of the §3.3.4 extension). planPlace stores the
+// components in decreasing order, the order betterMerit compares and sums
+// them in.
 type merit []float64
 
-// betterMerit reports whether a beats b: components sorted in decreasing
-// order are compared pairwise until one pair differs by more than
+// betterMerit reports whether a beats b, both sorted in decreasing order:
+// components are compared pairwise until one pair differs by more than
 // threshold (the smaller component wins); otherwise the smaller sum wins.
 func betterMerit(a, b merit, threshold float64) bool {
-	as := append(merit(nil), a...)
-	bs := append(merit(nil), b...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(as)))
-	sort.Sort(sort.Reverse(sort.Float64Slice(bs)))
-	n := len(as)
-	if len(bs) < n {
-		n = len(bs)
-	}
+	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
-		if d := as[i] - bs[i]; d > threshold {
+		if d := a[i] - b[i]; d > threshold {
 			return false
 		} else if d < -threshold {
 			return true
 		}
 	}
 	var sa, sb float64
-	for _, x := range as {
+	for _, x := range a {
 		sa += x
 	}
-	for _, x := range bs {
+	for _, x := range b {
 		sb += x
 	}
 	return sa < sb
+}
+
+// probe is the scratch of planPlace and checkRegs. The state owns it and
+// reset re-arms it per attempt; begin re-arms it per probe without
+// clearing the dense arrays, whose stale entries carry older generations.
+type probe struct {
+	gen  uint32    // current probe generation
+	xfer slotDelta // tentative transfer occupancy, by channel·II + slot
+	mem  slotDelta // tentative memory-port occupancy, by cluster·II + slot
+	occ  int       // slots one transfer occupies
+
+	moved     []movedXfer // transfers already planned, per (value, dest)
+	crossNeed []int       // per cluster: v's earliest consumer deadline, or absent
+	memUsed   []int64     // per cluster: tentative memory slots taken
+	addUnits  []int64     // per cluster: net lifetime units added
+
+	views  []*view // view slots; the first nviews are live
+	nviews int
+	rem    []regpress.Span
+	add    []regpress.Span
+	sim    []int // FitsWith window
+
+	plans []*plan // free plans
+}
+
+// slotDelta is a dense delta array read through generation stamps: an
+// entry stamped with an older generation reads as zero, so starting a new
+// probe clears nothing. touched lists the entries written in the current
+// generation.
+type slotDelta struct {
+	val     []int
+	stamp   []uint32
+	touched []int
+}
+
+func (d *slotDelta) size(n int) {
+	if len(d.val) < n {
+		d.val = make([]int, n)
+		d.stamp = make([]uint32, n)
+	}
+}
+
+func (d *slotDelta) at(gen uint32, i int) int {
+	if d.stamp[i] != gen {
+		return 0
+	}
+	return d.val[i]
+}
+
+func (d *slotDelta) add(gen uint32, i, x int) {
+	if d.stamp[i] != gen {
+		d.stamp[i], d.val[i] = gen, 0
+		d.touched = append(d.touched, i)
+	}
+	d.val[i] += x
+}
+
+// movedXfer is a transfer placement already planned in the current probe
+// for a (value, destination) pair (several in-edges may read the same
+// producer). dest is -1 for shared-bus broadcasts.
+type movedXfer struct {
+	val, dest, start int
+}
+
+// view is a hypothetical copy of a value under the plan being checked.
+type view struct {
+	id  int
+	val *value // the committed value; nil for the placed node's own value
+	tmp value
+	buf []int // tmp's backing
+}
+
+// reset sizes the probe scratch for st's attempt.
+func (pr *probe) reset(st *state) {
+	m, ii := st.m, st.ii
+	pr.xfer.size(m.Channels() * ii)
+	pr.mem.size(m.Clusters * ii)
+	pr.occ = m.XferOccupancy()
+	pr.crossNeed = resize(pr.crossNeed, m.Clusters)
+	pr.memUsed = resize(pr.memUsed, m.Clusters)
+	pr.addUnits = resize(pr.addUnits, m.Clusters)
+	pr.sim = resize(pr.sim, ii)
+}
+
+// begin starts a new probe generation.
+func (pr *probe) begin() {
+	if pr.gen++; pr.gen == 0 {
+		clear(pr.xfer.stamp)
+		clear(pr.mem.stamp)
+		pr.gen = 1
+	}
+	pr.xfer.touched = pr.xfer.touched[:0]
+	pr.mem.touched = pr.mem.touched[:0]
+	pr.moved = pr.moved[:0]
+	fillAbsent(pr.crossNeed)
+	clear(pr.memUsed)
+	clear(pr.addUnits)
+	pr.nviews = 0
+}
+
+// newPlan returns an empty plan for v at (c, t), recycled when possible.
+func (pr *probe) newPlan(v, c, t int) *plan {
+	var p *plan
+	if n := len(pr.plans); n > 0 {
+		p, pr.plans = pr.plans[n-1], pr.plans[:n-1]
+	} else {
+		p = new(plan)
+	}
+	p.v, p.cluster, p.t = v, c, t
+	p.comms, p.moves, p.loads, p.uses = p.comms[:0], p.moves[:0], p.loads[:0], p.uses[:0]
+	p.merit = p.merit[:0]
+	return p
+}
+
+// freePlan recycles p (nil-safe); p must not be used afterwards.
+func (pr *probe) freePlan(p *plan) {
+	if p != nil {
+		pr.plans = append(pr.plans, p)
+	}
+}
+
+// fail recycles p and reports the failure reason.
+func (pr *probe) fail(p *plan, reason FailReason) (*plan, FailReason) {
+	pr.freePlan(p)
+	return nil, reason
+}
+
+// newView claims a view slot for value id (committed value val, or nil for
+// the placed node's own), reset to a fresh value in cluster home at def.
+func (pr *probe) newView(id int, val *value, home, def, clusters int) *view {
+	if pr.nviews == len(pr.views) {
+		pr.views = append(pr.views, new(view))
+	}
+	vw := pr.views[pr.nviews]
+	pr.nviews++
+	vw.id, vw.val = id, val
+	vw.buf = resize(vw.buf, valueInts*clusters)
+	vw.tmp.reset(home, def, clusters, vw.buf)
+	return vw
+}
+
+// slot returns the modulo slot of cycle cyc.
+func (st *state) slot(cyc int) int {
+	s := cyc % st.ii
+	if s < 0 {
+		s += st.ii
+	}
+	return s
+}
+
+// canXfer reports whether a src→dst transfer departing at start fits its
+// channel together with the probe's tentative transfers.
+func (st *state) canXfer(src, dst, start int) bool {
+	m, pr := st.m, &st.probe
+	if m.NBus == 0 || (!m.Pipelined && m.LatBus >= st.ii) {
+		return false
+	}
+	ch := st.rt.Channel(src, dst)
+	for d := 0; d < pr.occ; d++ {
+		s := st.slot(start + d)
+		if st.rt.ChannelAt(ch, s)+pr.xfer.at(pr.gen, ch*st.ii+s) >= m.NBus {
+			return false
+		}
+	}
+	return true
+}
+
+// shiftXfer adds delta to the probe's tentative occupancy of the src→dst
+// transfer departing at start (+1 takes it, -1 drops it).
+func (st *state) shiftXfer(src, dst, start, delta int) {
+	pr := &st.probe
+	ch := st.rt.Channel(src, dst)
+	for d := 0; d < pr.occ; d++ {
+		pr.xfer.add(pr.gen, ch*st.ii+st.slot(start+d), delta)
+	}
+}
+
+// canMem reports whether cluster cl has a memory port free at cycle cyc,
+// counting the probe's tentative loads.
+func (st *state) canMem(cl, cyc int) bool {
+	s := st.slot(cyc)
+	return st.rt.MemAt(cl, s)+st.probe.mem.at(st.probe.gen, cl*st.ii+s) < st.m.UnitsIn(cl, isa.MemUnit)
+}
+
+// takeMem records a tentative memory-port use in cluster cl at cycle cyc.
+func (st *state) takeMem(cl, cyc int) {
+	st.probe.mem.add(st.probe.gen, cl*st.ii+st.slot(cyc), 1)
+}
+
+// movedTo returns the transfer start already planned for (id, dest) in the
+// current probe.
+func (pr *probe) movedTo(id, dest int) (int, bool) {
+	for _, mx := range pr.moved {
+		if mx.val == id && mx.dest == dest {
+			return mx.start, true
+		}
+	}
+	return 0, false
+}
+
+// setMoved records the planned transfer start for (id, dest).
+func (pr *probe) setMoved(id, dest, start int) {
+	for i := range pr.moved {
+		if pr.moved[i].val == id && pr.moved[i].dest == dest {
+			pr.moved[i].start = start
+			return
+		}
+	}
+	pr.moved = append(pr.moved, movedXfer{val: id, dest: dest, start: start})
 }
 
 // planPlace attempts to construct a placement of node v at (c, t): it
 // checks the functional unit, routes every dependence with already
 // scheduled endpoints (reusing, moving or creating bus transfers; reusing
 // or extending memory routes), verifies register capacity in every touched
-// cluster, and computes the figure of merit. It never mutates the state.
+// cluster, and computes the figure of merit. It never mutates the schedule
+// and allocates nothing once the probe scratch is warm; the returned plan
+// is recycled with freePlan.
 func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 	g, m, ii := st.g, st.m, st.ii
 	node := g.Nodes[v]
@@ -121,70 +329,17 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 		return nil, FailFU
 	}
 
-	p := &plan{v: v, cluster: c, t: t}
+	pr := &st.probe
+	pr.begin()
+	p := pr.newPlan(v, c, t)
 	p2p := st.p2p()
-	occ := m.XferOccupancy()
-	// xferDelta tracks tentative transfer occupancy changes by channel and
-	// modulo slot.
-	xferDelta := map[[2]int]int{}
-	slot := func(cyc int) int {
-		s := cyc % ii
-		if s < 0 {
-			s += ii
-		}
-		return s
-	}
-	canXfer := func(src, dst, start int) bool {
-		if m.NBus == 0 || (!m.Pipelined && m.LatBus >= ii) {
-			return false
-		}
-		ch := st.rt.Channel(src, dst)
-		for d := 0; d < occ; d++ {
-			s := slot(start + d)
-			if st.rt.ChannelAt(ch, s)+xferDelta[[2]int{ch, s}] >= m.NBus {
-				return false
-			}
-		}
-		return true
-	}
-	takeXfer := func(src, dst, start int) {
-		ch := st.rt.Channel(src, dst)
-		for d := 0; d < occ; d++ {
-			xferDelta[[2]int{ch, slot(start + d)}]++
-		}
-	}
-	dropXfer := func(src, dst, start int) {
-		ch := st.rt.Channel(src, dst)
-		for d := 0; d < occ; d++ {
-			xferDelta[[2]int{ch, slot(start + d)}]--
-		}
-	}
-	// memDelta tracks tentative load placements per cluster and slot. It
-	// starts with v's own reservation when v is a memory operation, so a
-	// planned load cannot claim the same last free port.
-	memDelta := map[[2]int]int{}
-	canMem := func(cl, cyc int) bool {
-		return st.rt.MemAt(cl, slot(cyc))+memDelta[[2]int{cl, slot(cyc)}] < m.UnitsIn(cl, isa.MemUnit)
-	}
+	// The memory delta starts with v's own reservation when v is a memory
+	// operation, so a planned load cannot claim the same last free port.
 	if node.Op.Unit() == isa.MemUnit {
-		memDelta[[2]int{c, slot(t)}]++
+		st.takeMem(c, t)
 	}
 
 	def := t + m.OpLatency(node.Op) // when v's value is written
-
-	// movedTo records transfer placements already planned for a (value,
-	// destination) pair (several in-edges may read the same producer). The
-	// destination is -1 for shared-bus broadcasts.
-	movedTo := map[[2]int]int{}
-	commAt := func(val *value, id, dest int) (int, bool) {
-		if n, ok := movedTo[[2]int{id, dest}]; ok {
-			return n, true
-		}
-		if val.comm != nil {
-			return val.comm.startFor(dest, p2p)
-		}
-		return 0, false
-	}
 
 	// Incoming data dependences from scheduled producers.
 	for _, ei := range g.In(v) {
@@ -196,29 +351,29 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 		need := t + ii*e.Dist
 		if e.Kind != ddg.Data {
 			if st.time[u]+e.Lat > need {
-				return nil, FailWindow
+				return pr.fail(p, FailWindow)
 			}
 			continue
 		}
 		val := st.vals[u]
 		uc := st.cluster[u]
 		if st.time[u]+e.Lat > need || val.def > need {
-			return nil, FailWindow
+			return pr.fail(p, FailWindow)
 		}
 		if uc == c {
 			// A spilled value is register-dead between its store and the
 			// reload completion: new home uses must wait for the reload.
 			if val.spill != nil && need > val.spill.store && need < val.spill.load+m.OpLatency(isa.Load) {
-				return nil, FailWindow
+				return pr.fail(p, FailWindow)
 			}
 			p.uses = append(p.uses, usePlan{val: u, cluster: c, use: need})
 			continue
 		}
 		// Cross-cluster read.
 		if val.mem != nil {
-			if l, ok := val.mem.loads[c]; ok {
+			if l := val.mem.loads[c]; l != absent {
 				if l+m.OpLatency(isa.Load) > need {
-					return nil, FailWindow
+					return pr.fail(p, FailWindow)
 				}
 				p.uses = append(p.uses, usePlan{val: u, cluster: c, use: need})
 				continue
@@ -228,16 +383,16 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 			hi := need - m.OpLatency(isa.Load)
 			found := false
 			for l := hi; l >= lo && l > hi-ii; l-- {
-				if canMem(c, l) {
+				if st.canMem(c, l) {
 					p.loads = append(p.loads, loadPlan{val: u, cluster: c, cycle: l})
-					memDelta[[2]int{c, slot(l)}]++
+					st.takeMem(c, l)
 					p.uses = append(p.uses, usePlan{val: u, cluster: c, use: need})
 					found = true
 					break
 				}
 			}
 			if !found {
-				return nil, FailMem
+				return pr.fail(p, FailMem)
 			}
 			continue
 		}
@@ -245,7 +400,11 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 		if p2p {
 			dest = c // point-to-point: a dedicated transfer must reach c
 		}
-		if start, ok := commAt(val, u, dest); ok {
+		start, ok := pr.movedTo(u, dest)
+		if !ok && val.comm != nil {
+			start, ok = val.comm.startFor(dest, p2p)
+		}
+		if ok {
 			if start+m.LatBus <= need {
 				p.uses = append(p.uses, usePlan{val: u, cluster: c, use: need})
 				continue
@@ -257,10 +416,10 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 				if !xferDepartOK(val, s, m) {
 					continue
 				}
-				dropXfer(uc, c, start)
-				if canXfer(uc, c, s) {
-					takeXfer(uc, c, s)
-					if _, already := movedTo[[2]int{u, dest}]; already {
+				st.shiftXfer(uc, c, start, -1)
+				if st.canXfer(uc, c, s) {
+					st.shiftXfer(uc, c, s, +1)
+					if _, already := pr.movedTo(u, dest); already {
 						// The transfer was created or moved earlier in this
 						// plan: update that entry (a plan-created transfer
 						// lives in p.comms, a moved existing one in p.moves).
@@ -282,15 +441,15 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 						old, _ := val.comm.startFor(dest, p2p)
 						p.moves = append(p.moves, movePlan{val: u, dest: dest, old: old, new: s})
 					}
-					movedTo[[2]int{u, dest}] = s
+					pr.setMoved(u, dest, s)
 					p.uses = append(p.uses, usePlan{val: u, cluster: c, use: need})
 					moved = true
 					break
 				}
-				takeXfer(uc, c, start)
+				st.shiftXfer(uc, c, start, +1)
 			}
 			if !moved {
-				return nil, FailBus
+				return pr.fail(p, FailBus)
 			}
 			continue
 		}
@@ -300,22 +459,23 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 			if !xferDepartOK(val, s, m) {
 				continue
 			}
-			if canXfer(uc, c, s) {
-				takeXfer(uc, c, s)
+			if st.canXfer(uc, c, s) {
+				st.shiftXfer(uc, c, s, +1)
 				p.comms = append(p.comms, commPlan{val: u, dest: dest, start: s})
-				movedTo[[2]int{u, dest}] = s
+				pr.setMoved(u, dest, s)
 				p.uses = append(p.uses, usePlan{val: u, cluster: c, use: need})
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			return nil, FailBus
+			return pr.fail(p, FailBus)
 		}
 	}
 
 	// Outgoing dependences toward scheduled consumers: v must deliver.
-	crossNeeds := map[int]int{} // dest cluster → earliest deadline
+	// crossNeed holds each destination cluster's earliest deadline.
+	cross := false
 	for _, ei := range g.Out(v) {
 		e := g.Edges[ei]
 		w := e.To
@@ -324,7 +484,7 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 		}
 		need := st.time[w] + ii*e.Dist
 		if t+e.Lat > need {
-			return nil, FailWindow
+			return pr.fail(p, FailWindow)
 		}
 		if e.Kind != ddg.Data {
 			continue
@@ -332,89 +492,87 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 		wc := st.cluster[w]
 		if wc == c {
 			if def > need {
-				return nil, FailWindow
+				return pr.fail(p, FailWindow)
 			}
 			p.uses = append(p.uses, usePlan{val: v, cluster: c, use: need})
 			continue
 		}
-		if cur, ok := crossNeeds[wc]; !ok || need < cur {
-			crossNeeds[wc] = need
+		if cur := pr.crossNeed[wc]; cur == absent || need < cur {
+			pr.crossNeed[wc] = need
 		}
+		cross = true
 		p.uses = append(p.uses, usePlan{val: v, cluster: wc, use: need})
 	}
-	if len(crossNeeds) > 0 {
+	if cross {
 		if p2p {
 			// One transfer per destination link, each meeting that
 			// destination's own deadline (deterministic cluster order).
-			for wc := 0; wc < m.Clusters; wc++ {
-				need, ok := crossNeeds[wc]
-				if !ok {
+			for wc, need := range pr.crossNeed {
+				if need == absent {
 					continue
 				}
 				placed := false
 				for s := def; s+m.LatBus <= need && s < def+ii; s++ {
-					if canXfer(c, wc, s) {
-						takeXfer(c, wc, s)
+					if st.canXfer(c, wc, s) {
+						st.shiftXfer(c, wc, s, +1)
 						p.comms = append(p.comms, commPlan{val: v, dest: wc, start: s})
 						placed = true
 						break
 					}
 				}
 				if !placed {
-					return nil, FailBus
+					return pr.fail(p, FailBus)
 				}
 			}
 		} else {
 			// One broadcast transfer must meet the tightest deadline.
 			minNeed := 1 << 30
-			for _, n := range crossNeeds {
-				if n < minNeed {
+			for _, n := range pr.crossNeed {
+				if n != absent && n < minNeed {
 					minNeed = n
 				}
 			}
 			placed := false
 			for s := def; s+m.LatBus <= minNeed && s < def+ii; s++ {
-				if canXfer(c, -1, s) {
-					takeXfer(c, -1, s)
+				if st.canXfer(c, -1, s) {
+					st.shiftXfer(c, -1, s, +1)
 					p.comms = append(p.comms, commPlan{val: v, dest: -1, start: s})
 					placed = true
 					break
 				}
 			}
 			if !placed {
-				return nil, FailBus
+				return pr.fail(p, FailBus)
 			}
 		}
 	}
 
 	// Register capacity: rebuild the spans of every touched value under the
 	// planned routing and check each affected cluster.
-	addUnits := make(map[int]int64)
-	if !st.checkRegs(p, def, addUnits) {
-		return nil, FailRegs
+	if !st.checkRegs(p, def) {
+		return pr.fail(p, FailRegs)
 	}
 
 	// Figure of merit: fractions of remaining capacity consumed.
 	xferUsed := 0
-	for _, d := range xferDelta {
-		if d > 0 {
+	for _, i := range pr.xfer.touched {
+		if d := pr.xfer.val[i]; d > 0 {
 			xferUsed += d
 		}
 	}
-	fm := make(merit, 0, 2*m.Clusters+1)
-	fm = append(fm, fraction(int64(xferUsed), int64(st.freeXfer())))
-	memUsed := make([]int64, m.Clusters)
-	for k, d := range memDelta {
-		if d > 0 {
-			memUsed[k[0]] += int64(d)
+	for _, i := range pr.mem.touched {
+		if d := pr.mem.val[i]; d > 0 {
+			pr.memUsed[i/ii] += int64(d)
 		}
 	}
+	fm := append(p.merit, fraction(int64(xferUsed), int64(st.freeXfer())))
 	for cl := 0; cl < m.Clusters; cl++ {
-		fm = append(fm, fraction(memUsed[cl], int64(st.freeMem(cl))))
+		fm = append(fm, fraction(pr.memUsed[cl], int64(st.freeMem(cl))))
 	}
 	for cl := 0; cl < m.Clusters; cl++ {
-		fm = append(fm, fraction(addUnits[cl], st.freeLifetime(cl)))
+		fm = append(fm, fraction(pr.addUnits[cl], st.freeLifetime(cl)))
 	}
+	slices.SortFunc(fm, func(a, b float64) int { return cmp.Compare(b, a) })
 	p.merit = fm
 	return p, FailNone
 }
@@ -434,131 +592,95 @@ func fraction(used, free int64) float64 {
 	return f
 }
 
+// view returns the hypothetical copy of value id under the plan being
+// checked, copying the committed value on first use.
+func (st *state) view(id int) *value {
+	pr := &st.probe
+	for _, vw := range pr.views[:pr.nviews] {
+		if vw.id == id {
+			return &vw.tmp
+		}
+	}
+	val := st.vals[id]
+	vw := pr.newView(id, val, val.home, val.def, st.m.Clusters)
+	vw.tmp.copyFrom(val)
+	return &vw.tmp
+}
+
+// setXfer records a planned transfer start on a hypothetical value: the
+// broadcast start for the shared bus, one dests entry per link on
+// point-to-point machines.
+func setXfer(tmp *value, dest, start int) {
+	if dest < 0 {
+		if tmp.comm == nil {
+			tmp.comm = tmp.newComm(false, 0)
+		}
+		tmp.comm.start = start
+		return
+	}
+	if tmp.comm == nil {
+		tmp.comm = tmp.newComm(true, 0)
+	} else if tmp.comm.dests == nil {
+		tmp.comm.dests = fillAbsent(tmp.routes[:len(tmp.minUse)])
+	}
+	tmp.comm.dests[dest] = start
+}
+
 // checkRegs verifies that applying p keeps every cluster's MaxLive within
 // the register file, and accumulates the net added lifetime units per
-// cluster into addUnits. It never mutates st.
-func (st *state) checkRegs(p *plan, def int, addUnits map[int]int64) bool {
-	m := st.m
-	// Hypothetical value views for every touched producer.
-	type view struct {
-		val    *value
-		tmp    value
-		before map[int][]regpress.Span
-	}
-	views := map[int]*view{}
-	getView := func(id int) *view {
-		if vw, ok := views[id]; ok {
-			return vw
-		}
-		val := st.vals[id]
-		vw := &view{val: val, before: map[int][]regpress.Span{}}
-		vw.tmp = *val
-		vw.tmp.minUse = append([]int(nil), val.minUse...)
-		vw.tmp.maxUse = append([]int(nil), val.maxUse...)
-		if val.comm != nil {
-			cc := *val.comm
-			if val.comm.dests != nil {
-				cc.dests = make(map[int]int, len(val.comm.dests))
-				for k, x := range val.comm.dests {
-					cc.dests[k] = x
-				}
-			}
-			vw.tmp.comm = &cc
-		}
-		if val.mem != nil {
-			mm := *val.mem
-			mm.loads = map[int]int{}
-			for k, x := range val.mem.loads {
-				mm.loads[k] = x
-			}
-			vw.tmp.mem = &mm
-		}
-		for c := 0; c < m.Clusters; c++ {
-			vw.before[c] = val.spans(c, m)
-		}
-		views[id] = vw
-		return vw
-	}
-
-	// v's own (new) value.
+// cluster into the probe's addUnits. It never mutates the schedule.
+func (st *state) checkRegs(p *plan, def int) bool {
+	m, pr := st.m, &st.probe
 	if st.g.Nodes[p.v].Op.ProducesValue() {
-		nv := newValue(p.cluster, def, m.Clusters)
-		views[p.v] = &view{val: nil, tmp: *nv, before: map[int][]regpress.Span{}}
-	}
-
-	// setXfer records a planned transfer start on a hypothetical value view:
-	// the broadcast start for the shared bus, one dests entry per link on
-	// point-to-point machines.
-	setXfer := func(tmp *value, dest, start int) {
-		if dest < 0 {
-			if tmp.comm == nil {
-				tmp.comm = &comm{}
-			}
-			tmp.comm.start = start
-			return
-		}
-		if tmp.comm == nil {
-			tmp.comm = &comm{dests: map[int]int{}}
-		} else if tmp.comm.dests == nil {
-			tmp.comm.dests = map[int]int{}
-		}
-		tmp.comm.dests[dest] = start
+		pr.newView(p.v, nil, p.cluster, def, m.Clusters)
 	}
 	for _, mv := range p.moves {
-		setXfer(&getView(mv.val).tmp, mv.dest, mv.new)
+		setXfer(st.view(mv.val), mv.dest, mv.new)
 	}
 	for _, cp := range p.comms {
-		if cp.val == p.v {
-			setXfer(&views[p.v].tmp, cp.dest, cp.start)
-		} else {
-			setXfer(&getView(cp.val).tmp, cp.dest, cp.start)
-		}
+		setXfer(st.view(cp.val), cp.dest, cp.start)
 	}
 	for _, lp := range p.loads {
-		vw := getView(lp.val)
-		vw.tmp.mem.loads[lp.cluster] = lp.cycle
+		st.view(lp.val).mem.loads[lp.cluster] = lp.cycle
 	}
 	for _, up := range p.uses {
-		var vw *view
-		if up.val == p.v {
-			vw = views[p.v]
-		} else {
-			vw = getView(up.val)
+		tmp := st.view(up.val)
+		if cur := tmp.minUse[up.cluster]; cur == noUse || up.use < cur {
+			tmp.minUse[up.cluster] = up.use
 		}
-		if cur := vw.tmp.minUse[up.cluster]; cur == noUse || up.use < cur {
-			vw.tmp.minUse[up.cluster] = up.use
-		}
-		if cur := vw.tmp.maxUse[up.cluster]; cur == noUse || up.use > cur {
-			vw.tmp.maxUse[up.cluster] = up.use
+		if cur := tmp.maxUse[up.cluster]; cur == noUse || up.use > cur {
+			tmp.maxUse[up.cluster] = up.use
 		}
 	}
 
-	// Per-cluster simulation on a reusable scratch buffer. The after-spans
-	// are computed once per (view, cluster).
-	if cap(st.simBuf) < st.ii {
-		st.simBuf = make([]int, st.ii)
-	}
+	// Per-cluster simulation: the committed spans of every touched value
+	// are swapped for its hypothetical ones.
 	for c := 0; c < m.Clusters; c++ {
 		var before, after int64
-		var rem, add []regpress.Span
-		for _, vw := range views {
-			for _, sp := range vw.before[c] {
-				rem = append(rem, sp)
-				before += int64(sp.Len())
+		rem, add := pr.rem[:0], pr.add[:0]
+		for _, vw := range pr.views[:pr.nviews] {
+			if vw.val != nil {
+				n := len(rem)
+				rem = vw.val.appendSpans(rem, c, m)
+				for _, sp := range rem[n:] {
+					before += int64(sp.Len())
+				}
 			}
-			for _, sp := range vw.tmp.spans(c, m) {
-				add = append(add, sp)
+			n := len(add)
+			add = vw.tmp.appendSpans(add, c, m)
+			for _, sp := range add[n:] {
 				after += int64(sp.Len())
 			}
 		}
+		pr.rem, pr.add = rem, add
 		if len(rem) == 0 && len(add) == 0 {
 			continue
 		}
-		if !st.press[c].FitsWith(rem, add, m.RegsIn(c), st.simBuf[:st.ii]) {
+		if !st.press[c].FitsWith(rem, add, m.RegsIn(c), pr.sim) {
 			return false
 		}
 		if d := after - before; d > 0 {
-			addUnits[c] += d
+			pr.addUnits[c] += d
 		}
 	}
 	return true

@@ -139,11 +139,11 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 		panic("schedule: partition-following mode without an assignment")
 	}
 	st := newState(g, m, ii)
-	order := Order(g, m, ii)
-	static, ok := g.StartTimes(m, ii, nil)
-	if !ok {
+	defer st.release()
+	if !g.StartTimesInto(m, ii, nil, &st.static) {
 		return nil, &Failure{Node: -1, Reason: FailWindow}
 	}
+	static := &st.static
 
 	maxTransforms := opts.MaxTransforms
 	if maxTransforms == 0 {
@@ -153,9 +153,9 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 	ejections := 0
 	maxEjections := 2*g.N() + 8
 
-	queue := append([]int(nil), order...)
-	for qi := 0; qi < len(queue); qi++ {
-		v := queue[qi]
+	st.queue = append(st.queue[:0], st.order.order(g, static)...)
+	for qi := 0; qi < len(st.queue); qi++ {
+		v := st.queue[qi]
 		if st.sched[v] {
 			continue // re-placed before its ejected entry came up again
 		}
@@ -174,7 +174,7 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 			if victims := st.ejectVictims(v); len(victims) > 0 {
 				for _, w := range victims {
 					st.unschedule(w)
-					queue = append(queue, w)
+					st.queue = append(st.queue, w)
 				}
 				ejections++
 				goto retry
@@ -201,23 +201,20 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 // placement by figure of merit. It reports the dominant failure reason when
 // no cluster admits the node.
 func (st *state) placeNode(v int, opts *Options, static *ddg.Times) (bool, FailReason) {
-	var clusters []int
+	clusters := st.clusters[:0]
 	switch opts.Mode {
-	case ModeFixed:
-		clusters = []int{opts.Assign[v]}
-	case ModeGP:
-		// Assigned cluster first; the others only when it fails.
-		clusters = []int{opts.Assign[v]}
+	case ModeFixed, ModeGP:
+		// GP: assigned cluster first; the others only when it fails.
+		clusters = append(clusters, opts.Assign[v])
 	case ModeURACAM:
-		clusters = make([]int, st.m.Clusters)
-		for c := range clusters {
-			clusters[c] = c
+		for c := 0; c < st.m.Clusters; c++ {
+			clusters = append(clusters, c)
 		}
 	}
 
 	best, fail := st.bestCandidate(v, clusters, opts.threshold(), static)
 	if best == nil && opts.Mode == ModeGP {
-		others := make([]int, 0, st.m.Clusters-1)
+		others := clusters[:0]
 		for c := 0; c < st.m.Clusters; c++ {
 			if c != opts.Assign[v] {
 				others = append(others, c)
@@ -233,6 +230,7 @@ func (st *state) placeNode(v int, opts *Options, static *ddg.Times) (bool, FailR
 		return false, fail
 	}
 	st.apply(best)
+	st.probe.freePlan(best)
 	return true, FailNone
 }
 
@@ -251,7 +249,10 @@ func (st *state) bestCandidate(v int, clusters []int, threshold float64, static 
 			continue
 		}
 		if best == nil || betterMerit(p.merit, best.merit, threshold) {
+			st.probe.freePlan(best)
 			best = p
+		} else {
+			st.probe.freePlan(p)
 		}
 	}
 	if best == nil && worstFail == FailNone {
@@ -358,31 +359,27 @@ func (st *state) apply(p *plan) {
 	st.cluster[p.v] = p.cluster
 	st.sched[p.v] = true
 	if node.Op.ProducesValue() {
-		st.vals[p.v] = newValue(p.cluster, p.t+m.OpLatency(node.Op), m.Clusters)
+		st.initValue(p.v, p.cluster, p.t+m.OpLatency(node.Op))
 	}
 
-	// 2. Batch span-safe mutations per touched value.
-	touched := map[int]bool{p.v: node.Op.ProducesValue()}
+	// 2. Batch span-safe mutations per touched producer other than v (v's
+	// new value has no spans registered yet).
+	touched := st.touched[:0]
 	for _, mv := range p.moves {
-		touched[mv.val] = true
+		touched = appendUnique(touched, mv.val, p.v)
 	}
 	for _, cp := range p.comms {
-		touched[cp.val] = true
+		touched = appendUnique(touched, cp.val, p.v)
 	}
 	for _, lp := range p.loads {
-		touched[lp.val] = true
+		touched = appendUnique(touched, lp.val, p.v)
 	}
 	for _, up := range p.uses {
-		touched[up.val] = true
+		touched = appendUnique(touched, up.val, p.v)
 	}
-	// Remove current spans of every touched value (v has none yet).
-	for id, isVal := range touched {
-		if !isVal || id == p.v {
-			continue
-		}
-		for c := 0; c < m.Clusters; c++ {
-			st.removeValueSpans(st.vals[id], c)
-		}
+	st.touched = touched
+	for _, id := range touched {
+		st.removeValueSpans(st.vals[id])
 	}
 	// Mutate. Transfer channels are keyed by the value's home cluster and
 	// the planned destination (ignored on the shared bus).
@@ -400,10 +397,10 @@ func (st *state) apply(p *plan) {
 		val := st.vals[cp.val]
 		st.rt.PlaceXfer(val.home, cp.dest, cp.start)
 		if cp.dest < 0 {
-			val.comm = &comm{start: cp.start}
+			val.comm = val.newComm(false, cp.start)
 		} else {
 			if val.comm == nil {
-				val.comm = &comm{dests: map[int]int{}}
+				val.comm = val.newComm(true, 0)
 			}
 			val.comm.dests[cp.dest] = cp.start
 		}
@@ -423,14 +420,25 @@ func (st *state) apply(p *plan) {
 		}
 	}
 	// Re-add spans.
-	for id, isVal := range touched {
-		if !isVal {
-			continue
-		}
-		for c := 0; c < m.Clusters; c++ {
-			st.addValueSpans(st.vals[id], c)
+	for _, id := range touched {
+		st.addValueSpans(st.vals[id])
+	}
+	if val := st.vals[p.v]; val != nil {
+		st.addValueSpans(val)
+	}
+}
+
+// appendUnique appends id to ids unless it is already there or is skip.
+func appendUnique(ids []int, id, skip int) []int {
+	if id == skip {
+		return ids
+	}
+	for _, x := range ids {
+		if x == id {
+			return ids
 		}
 	}
+	return append(ids, id)
 }
 
 // finish assembles the Schedule from a fully placed state, normalizing
@@ -481,9 +489,8 @@ func (st *state) finish(transforms int) *Schedule {
 			} else {
 				// Point-to-point: one transfer per destination link, in
 				// deterministic cluster order.
-				for c := 0; c < m.Clusters; c++ {
-					start, ok := val.comm.dests[c]
-					if !ok {
+				for c, start := range val.comm.dests {
+					if start == absent {
 						continue
 					}
 					start -= shift
@@ -501,11 +508,9 @@ func (st *state) finish(transforms int) *Schedule {
 			if f := store + m.OpLatency(isa.Store); f > s.SL {
 				s.SL = f
 			}
-			// Deterministic cluster order: loads is a map, and MemOps is
-			// part of the served response bytes.
-			for c := 0; c < m.Clusters; c++ {
-				l, ok := val.mem.loads[c]
-				if !ok {
+			// Cluster order: MemOps is part of the served response bytes.
+			for c, l := range val.mem.loads {
+				if l == absent {
 					continue
 				}
 				s.MemOps = append(s.MemOps, MemOp{Producer: id, Cluster: c, Cycle: l - shift})

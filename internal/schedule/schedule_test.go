@@ -247,7 +247,9 @@ func TestOrderNeighborProperty(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		g := randomLoop(r, 3+r.Intn(25))
 		order := Order(g, m, g.MII(m))
-		groups := buildGroups(g)
+		var o orderState
+		o.buildGroups(g)
+		groups := o.groupEnd
 		pos := make([]int, g.N())
 		for i, v := range order {
 			pos[v] = i

@@ -14,6 +14,8 @@
 package schedule
 
 import (
+	"sync"
+
 	"repro/internal/ddg"
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -26,14 +28,18 @@ import (
 // (bottom-up SMS placement), so -1 would collide.
 const noUse = -1 << 40
 
+// absent marks a cluster without a point-to-point transfer (comm.dests)
+// or a load (memRoute.loads); like noUse it lies below any real cycle.
+const absent = noUse
+
 // comm is the interconnect routing of one value. On a shared bus a single
 // broadcast transfer departs the home cluster at start and arrives in every
-// other cluster at start+LatBus. On point-to-point links each destination
-// cluster has its own transfer on the home→dest link, recorded in dests;
-// start is unused.
+// other cluster at start+LatBus; dests is nil. On point-to-point links each
+// destination cluster has its own transfer on the home→dest link: dests[c]
+// is its departure cycle, or absent; start is unused.
 type comm struct {
 	start int
-	dests map[int]int // destination cluster → departure cycle (PointToPoint)
+	dests []int
 }
 
 // startFor returns the departure cycle of the transfer serving cluster c,
@@ -42,15 +48,15 @@ func (cm *comm) startFor(c int, p2p bool) (int, bool) {
 	if !p2p {
 		return cm.start, true
 	}
-	s, ok := cm.dests[c]
-	return s, ok
+	s := cm.dests[c]
+	return s, s != absent
 }
 
 // memRoute is a value routed through memory: one store in the home cluster
-// and one load per destination cluster.
+// and one load per destination cluster (loads[c], or absent).
 type memRoute struct {
-	store int         // store issue cycle (home cluster memory port)
-	loads map[int]int // destination cluster → load issue cycle
+	store int
+	loads []int
 }
 
 // spill is spill code for a register-pressure-bound value in its home
@@ -61,6 +67,10 @@ type spill struct {
 }
 
 // value tracks the register residency of one produced value.
+//
+// A value owns the storage its routing points into (commBuf, memBuf,
+// spillBuf and the per-cluster slices), so rerouting it allocates nothing;
+// a value is bus-routed or memory-routed, never both.
 type value struct {
 	home int // producing cluster
 	def  int // cycle the value is written (producer start + latency)
@@ -73,30 +83,103 @@ type value struct {
 	comm  *comm     // bus transfer, if the value crosses clusters by bus
 	mem   *memRoute // memory route, if transformed
 	spill *spill    // spill code in the home cluster, if transformed
+
+	commBuf  comm
+	memBuf   memRoute
+	spillBuf spill
+	routes   []int // per-cluster backing of commBuf.dests, then memBuf.loads
 }
 
-func newValue(home, def, clusters int) *value {
-	v := &value{home: home, def: def, minUse: make([]int, clusters), maxUse: make([]int, clusters)}
+// valueInts is the backing length value.reset needs per cluster: minUse,
+// maxUse, transfer destinations and loads.
+const valueInts = 4
+
+// reset makes v a fresh value written in cluster home at cycle def, with
+// no uses and no routing, backed by buf (valueInts ints per cluster).
+func (v *value) reset(home, def, clusters int, buf []int) {
+	*v = value{
+		home:   home,
+		def:    def,
+		minUse: buf[:clusters:clusters],
+		maxUse: buf[clusters : 2*clusters : 2*clusters],
+		routes: buf[2*clusters : 4*clusters : 4*clusters],
+	}
 	for c := 0; c < clusters; c++ {
 		v.minUse[c], v.maxUse[c] = noUse, noUse
 	}
-	return v
+}
+
+// newComm routes v over the interconnect in its own storage: a shared-bus
+// broadcast departing at start, or (p2p) a point-to-point routing with no
+// transfer yet. The caller installs the result as v.comm.
+func (v *value) newComm(p2p bool, start int) *comm {
+	v.commBuf = comm{start: start}
+	if p2p {
+		v.commBuf.dests = fillAbsent(v.routes[:len(v.minUse)])
+	}
+	return &v.commBuf
+}
+
+// newMem is newComm for a memory route storing at store, with no load yet.
+func (v *value) newMem(store int) *memRoute {
+	v.memBuf = memRoute{store: store, loads: fillAbsent(v.routes[len(v.minUse):])}
+	return &v.memBuf
+}
+
+// newSpill records spill code in v's own storage.
+func (v *value) newSpill(store, load int) *spill {
+	v.spillBuf = spill{store: store, load: load}
+	return &v.spillBuf
+}
+
+// copyFrom makes v, already reset for the same cluster count, a deep copy
+// of src sharing no storage with it.
+func (v *value) copyFrom(src *value) {
+	v.home, v.def = src.home, src.def
+	copy(v.minUse, src.minUse)
+	copy(v.maxUse, src.maxUse)
+	v.comm, v.mem, v.spill = nil, nil, nil
+	if src.comm != nil {
+		v.comm = v.newComm(src.comm.dests != nil, src.comm.start)
+		copy(v.comm.dests, src.comm.dests)
+	}
+	if src.mem != nil {
+		v.mem = v.newMem(src.mem.store)
+		copy(v.mem.loads, src.mem.loads)
+	}
+	if src.spill != nil {
+		v.spill = v.newSpill(src.spill.store, src.spill.load)
+	}
+}
+
+// fillAbsent marks every entry of a per-cluster routing slice absent.
+func fillAbsent(s []int) []int {
+	for i := range s {
+		s[i] = absent
+	}
+	return s
+}
+
+// present counts the routed (non-absent) entries of a per-cluster slice.
+func present(s []int) int {
+	n := 0
+	for _, x := range s {
+		if x != absent {
+			n++
+		}
+	}
+	return n
 }
 
 // arrival returns the cycle the value becomes readable in cluster c, or
-// (0, false) when it is not routed there.
+// (0, false) when it is not routed there. A spilled value's home figure is
+// its definition; callers needing the dead window use appendSpans.
 func (v *value) arrival(c int, m *machine.Config) (int, bool) {
 	if c == v.home {
-		if v.spill != nil {
-			// Readable before the spill store and after the reload; the
-			// conservative single figure is the reload completion for uses
-			// after the gap. Callers needing the gap use spans().
-			return v.def, true
-		}
 		return v.def, true
 	}
 	if v.mem != nil {
-		if l, ok := v.mem.loads[c]; ok {
+		if l := v.mem.loads[c]; l != absent {
 			return l + m.OpLatency(isa.Load), true
 		}
 		return 0, false
@@ -109,9 +192,9 @@ func (v *value) arrival(c int, m *machine.Config) (int, bool) {
 	return 0, false
 }
 
-// spans returns the register intervals the value occupies in cluster c
-// under its current routing and uses.
-func (v *value) spans(c int, m *machine.Config) []regpress.Span {
+// appendSpans appends to dst the register intervals the value occupies in
+// cluster c under its current routing and uses.
+func (v *value) appendSpans(dst []regpress.Span, c int, m *machine.Config) []regpress.Span {
 	if c == v.home {
 		end := v.def + 1 // the write itself occupies the register
 		if u := v.maxUse[c]; u != noUse && u+1 > end {
@@ -125,7 +208,7 @@ func (v *value) spans(c int, m *machine.Config) []regpress.Span {
 				}
 			} else {
 				for _, s := range v.comm.dests {
-					if s+1 > end {
+					if s != absent && s+1 > end {
 						end = s + 1
 					}
 				}
@@ -135,29 +218,35 @@ func (v *value) spans(c int, m *machine.Config) []regpress.Span {
 			end = v.mem.store + 1
 		}
 		if v.spill == nil {
-			return []regpress.Span{{Start: v.def, End: end}}
+			return append(dst, regpress.Span{Start: v.def, End: end})
 		}
 		// Spilled: live [def, store+1) and [load+lat, end).
 		s1 := regpress.Span{Start: v.def, End: v.spill.store + 1}
 		s2 := regpress.Span{Start: v.spill.load + m.OpLatency(isa.Load), End: end}
 		if s2.End <= s2.Start {
-			return []regpress.Span{s1}
+			return append(dst, s1)
 		}
-		return []regpress.Span{s1, s2}
+		return append(dst, s1, s2)
 	}
 	// Remote cluster: live from arrival to last use there.
 	arr, ok := v.arrival(c, m)
 	if !ok {
-		return nil
+		return dst
 	}
 	end := v.maxUse[c]
 	if end == noUse {
-		return nil
+		return dst
 	}
-	return []regpress.Span{{Start: arr, End: end + 1}}
+	return append(dst, regpress.Span{Start: arr, End: end + 1})
 }
 
 // state is the mutable scheduling state for one II attempt.
+//
+// Ownership: a state and every buffer it holds come from statePool and go
+// back to it when the attempt ends (release). reset re-arms all of them for
+// the next attempt, keeping their capacity but never their content, so an
+// II escalation reuses one buffer set and a placement probe allocates
+// nothing. Nothing an attempt returns aliases these buffers.
 type state struct {
 	g  *ddg.Graph
 	m  *machine.Config
@@ -166,58 +255,114 @@ type state struct {
 	time    []int  // node → start cycle (may be negative; see sched)
 	cluster []int  // node → cluster
 	sched   []bool // node → placed?
-	rt      *mrt.Table
-	press   []*regpress.Pressure // per cluster
-	vals    []*value             // per node; nil until the producer schedules
+	rt      mrt.Table
+	press   []regpress.Pressure // per cluster
+	vals    []*value            // per node; nil until the producer schedules
 
 	nMemOps [2]int // [stores, loads] added by transformations (statistics)
-	simBuf  []int  // scratch for plan-time register simulation
+
+	valBuf  []value // storage behind vals
+	valInts []int   // per-cluster backing of valBuf (valueInts·clusters each)
+
+	probe  probe      // placement-probe scratch (plan.go)
+	order  orderState // Order scratch (order.go)
+	static ddg.Times  // ASAP/ALAP times at the attempt's II
+	queue  []int      // TrySchedule work list
+
+	// Short-lived lists, each owned by the one function named.
+	spans    []regpress.Span // addValueSpans, removeValueSpans
+	clusters []int           // placeNode: candidate clusters
+	touched  []int           // apply: producers whose spans change
+	victims  []int           // ejectVictims
+	consumed []int           // unschedule: producers v read
+	deadline []int           // tryBusToMem: per-cluster first use
+	targets  []target        // transform
+	cands    []spillCand     // trySpill
 }
 
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// newState returns an empty state for one attempt of g on m at ii, drawn
+// from statePool. Callers hand it back with release.
 func newState(g *ddg.Graph, m *machine.Config, ii int) *state {
-	st := &state{
-		g: g, m: m, ii: ii,
-		time:    make([]int, g.N()),
-		cluster: make([]int, g.N()),
-		sched:   make([]bool, g.N()),
-		rt:      mrt.New(m, ii),
-		press:   make([]*regpress.Pressure, m.Clusters),
-		vals:    make([]*value, g.N()),
-	}
-	for i := range st.time {
-		st.time[i], st.cluster[i] = -1, -1
-	}
-	for c := range st.press {
-		st.press[c] = regpress.New(ii)
-	}
+	st := statePool.Get().(*state)
+	st.reset(g, m, ii)
 	return st
 }
 
-// addSpans registers the spans of value v in cluster c with the pressure
-// tracker.
-func (st *state) addValueSpans(v *value, c int) {
-	for _, sp := range v.spans(c, st.m) {
-		st.press[c].Add(sp.Start, sp.End)
+// release returns st to statePool; st must not be used afterwards. It
+// drops the graph reference so a pooled state does not keep the caller's
+// loop alive.
+func (st *state) release() {
+	st.g = nil
+	statePool.Put(st)
+}
+
+// reset empties st for an attempt of g on m at ii, reusing its buffers.
+func (st *state) reset(g *ddg.Graph, m *machine.Config, ii int) {
+	n, nc := g.N(), m.Clusters
+	st.g, st.m, st.ii = g, m, ii
+	st.time = resize(st.time, n)
+	st.cluster = resize(st.cluster, n)
+	for i := range st.time {
+		st.time[i], st.cluster[i] = -1, -1
+	}
+	st.sched = resize(st.sched, n)
+	clear(st.sched)
+	st.vals = resize(st.vals, n)
+	clear(st.vals)
+	st.valBuf = resize(st.valBuf, n)
+	st.valInts = resize(st.valInts, n*valueInts*nc)
+	st.rt.Reset(m, ii)
+	st.press = resize(st.press, nc)
+	for c := range st.press {
+		st.press[c].Reset(ii)
+	}
+	st.nMemOps = [2]int{}
+	st.probe.reset(st)
+	st.clusters = resize(st.clusters, nc)
+	st.deadline = resize(st.deadline, nc)
+}
+
+// resize returns s with length n, reusing its array when large enough.
+// Contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// initValue installs and returns node v's fresh value, produced in cluster
+// home at cycle def.
+func (st *state) initValue(v, home, def int) *value {
+	k := valueInts * st.m.Clusters
+	val := &st.valBuf[v]
+	val.reset(home, def, st.m.Clusters, st.valInts[v*k:(v+1)*k])
+	st.vals[v] = val
+	return val
+}
+
+// addValueSpans registers the spans of value v in every cluster with the
+// pressure trackers.
+func (st *state) addValueSpans(v *value) {
+	for c := 0; c < st.m.Clusters; c++ {
+		st.spans = v.appendSpans(st.spans[:0], c, st.m)
+		for _, sp := range st.spans {
+			st.press[c].Add(sp.Start, sp.End)
+		}
 	}
 }
 
-// removeValueSpans removes the current spans of value v in cluster c.
-func (st *state) removeValueSpans(v *value, c int) {
-	for _, sp := range v.spans(c, st.m) {
-		st.press[c].Remove(sp.Start, sp.End)
-	}
-}
-
-// withSpanUpdate runs mutate on v while keeping the pressure trackers
-// consistent: spans in every cluster are removed, the mutation applied, and
-// the new spans added.
-func (st *state) withSpanUpdate(v *value, mutate func()) {
+// removeValueSpans removes the current spans of value v in every cluster.
+// Mutating v's routing or uses between removeValueSpans and
+// addValueSpans keeps the trackers consistent.
+func (st *state) removeValueSpans(v *value) {
 	for c := 0; c < st.m.Clusters; c++ {
-		st.removeValueSpans(v, c)
-	}
-	mutate()
-	for c := 0; c < st.m.Clusters; c++ {
-		st.addValueSpans(v, c)
+		st.spans = v.appendSpans(st.spans[:0], c, st.m)
+		for _, sp := range st.spans {
+			st.press[c].Remove(sp.Start, sp.End)
+		}
 	}
 }
 

@@ -1,10 +1,39 @@
 package schedule
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/isa"
 )
+
+// targetKind names the transformation a transform target applies.
+type targetKind int8
+
+const (
+	targetSpill     targetKind = iota // trySpill(c)
+	targetBusToMem                    // tryBusToMem
+	targetMemRelief                   // tryMemToBus(c), else tryUnspill(c)
+)
+
+// target is one candidate transformation and the saturation of the
+// resource it relieves.
+type target struct {
+	kind targetKind
+	c    int
+	sat  float64
+}
+
+// run applies the target's transformation and reports whether it did.
+func (tg target) run(st *state) bool {
+	switch tg.kind {
+	case targetSpill:
+		return st.trySpill(tg.c)
+	case targetBusToMem:
+		return st.tryBusToMem()
+	}
+	return st.tryMemToBus(tg.c) || st.tryUnspill(tg.c)
+}
 
 // transform applies one §3.3.2 transformation aimed at relieving the most
 // saturated resource (the failure reason of the blocked node breaks ties in
@@ -17,20 +46,14 @@ import (
 //   - memory pressure → reroute a memory-routed value back over the bus, or
 //     remove spill code.
 func (st *state) transform(reason FailReason) bool {
-	type target struct {
-		apply func() bool
-		sat   float64
-	}
-	var targets []target
-
+	targets := st.targets[:0]
 	// Register saturation per cluster.
 	for c := 0; c < st.m.Clusters; c++ {
-		c := c
 		sat := float64(st.maxLive(c)) / float64(st.m.RegsIn(c))
 		if reason == FailRegs {
 			sat += 1 // prioritize the failing resource class
 		}
-		targets = append(targets, target{sat: sat, apply: func() bool { return st.trySpill(c) }})
+		targets = append(targets, target{kind: targetSpill, c: c, sat: sat})
 	}
 	// Interconnect saturation.
 	{
@@ -38,27 +61,32 @@ func (st *state) transform(reason FailReason) bool {
 		if reason == FailBus {
 			sat += 1
 		}
-		targets = append(targets, target{sat: sat, apply: st.tryBusToMem})
+		targets = append(targets, target{kind: targetBusToMem, sat: sat})
 	}
 	// Memory saturation per cluster.
 	for c := 0; c < st.m.Clusters; c++ {
-		c := c
 		sat := st.rt.MemUtilization(c)
 		if reason == FailMem {
 			sat += 1
 		}
-		targets = append(targets, target{sat: sat, apply: func() bool {
-			return st.tryMemToBus(c) || st.tryUnspill(c)
-		}})
+		targets = append(targets, target{kind: targetMemRelief, c: c, sat: sat})
 	}
+	st.targets = targets
 
-	sort.SliceStable(targets, func(i, j int) bool { return targets[i].sat > targets[j].sat })
+	// Most saturated first; ties keep the order above.
+	slices.SortStableFunc(targets, func(a, b target) int { return cmp.Compare(b.sat, a.sat) })
 	for _, tg := range targets {
-		if tg.apply() {
+		if tg.run(st) {
 			return true
 		}
 	}
 	return false
+}
+
+// spillCand is a trySpill candidate: value id and its def-to-first-use gap.
+type spillCand struct {
+	id  int
+	gap int
 }
 
 // trySpill inserts spill code for the value in cluster c whose
@@ -71,11 +99,7 @@ func (st *state) trySpill(c int) bool {
 	// Candidates: unspilled values home in c with a local use and a gap
 	// wide enough that freeing [store+1, load+latLoad) pays for the two
 	// memory operations.
-	type cand struct {
-		id  int
-		gap int
-	}
-	var cands []cand
+	cands := st.cands[:0]
 	for id, val := range st.vals {
 		if val == nil || val.home != c || val.spill != nil || val.mem != nil {
 			continue
@@ -86,14 +110,15 @@ func (st *state) trySpill(c int) bool {
 		}
 		gap := first - val.def
 		if gap >= latS+latL+2 {
-			cands = append(cands, cand{id, gap})
+			cands = append(cands, spillCand{id, gap})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].gap != cands[j].gap {
-			return cands[i].gap > cands[j].gap
+	st.cands = cands
+	slices.SortFunc(cands, func(a, b spillCand) int {
+		if a.gap != b.gap {
+			return cmp.Compare(b.gap, a.gap)
 		}
-		return cands[i].id < cands[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	for _, cd := range cands {
 		val := st.vals[cd.id]
@@ -112,7 +137,7 @@ func (st *state) trySpill(c int) bool {
 				late = val.comm.start > store
 			} else {
 				for _, s := range val.comm.dests {
-					if s > store {
+					if s != absent && s > store {
 						late = true
 					}
 				}
@@ -130,9 +155,9 @@ func (st *state) trySpill(c int) bool {
 			continue
 		}
 		st.rt.PlaceOp(c, isa.MemUnit, load)
-		st.withSpanUpdate(val, func() {
-			val.spill = &spill{store: store, load: load}
-		})
+		st.removeValueSpans(val)
+		val.spill = val.newSpill(store, load)
+		st.addValueSpans(val)
 		st.nMemOps[0]++
 		st.nMemOps[1]++
 		return true
@@ -143,15 +168,18 @@ func (st *state) trySpill(c int) bool {
 // tryUnspill removes spill code in cluster c (freeing its memory ports)
 // when the register file can absorb the restored lifetime.
 func (st *state) tryUnspill(c int) bool {
-	for id, val := range st.vals {
-		_ = id
+	for _, val := range st.vals {
 		if val == nil || val.home != c || val.spill == nil {
 			continue
 		}
 		sp := val.spill
-		st.withSpanUpdate(val, func() { val.spill = nil })
+		st.removeValueSpans(val)
+		val.spill = nil
+		st.addValueSpans(val)
 		if st.maxLive(c) > st.m.RegsIn(c) {
-			st.withSpanUpdate(val, func() { val.spill = sp })
+			st.removeValueSpans(val)
+			val.spill = sp
+			st.addValueSpans(val)
 			continue
 		}
 		st.rt.RemoveOp(c, isa.MemUnit, sp.store)
@@ -169,30 +197,30 @@ func (st *state) tryUnspill(c int) bool {
 func (st *state) tryBusToMem() bool {
 	m := st.m
 	latS, latL := m.OpLatency(isa.Store), m.OpLatency(isa.Load)
-	for id, val := range st.vals {
-		_ = id
+	for _, val := range st.vals {
 		if val == nil || val.comm == nil || val.spill != nil {
 			continue
 		}
 		// Destination clusters and their earliest deadlines.
-		dests := make(map[int]int)
-		feasible := true
+		dests := fillAbsent(st.deadline)
+		n, feasible := 0, true
 		for c, first := range val.minUse {
 			if c == val.home || first == noUse {
 				continue
 			}
 			dests[c] = first
+			n++
 			if first-latL < val.def+latS {
 				feasible = false
 			}
 		}
-		if len(dests) == 0 || !feasible {
+		if n == 0 || !feasible {
 			continue
 		}
 		// Store as early as possible, loads as late as their deadline allows.
 		minFirst := 1 << 30
 		for _, f := range dests {
-			if f < minFirst {
+			if f != absent && f < minFirst {
 				minFirst = f
 			}
 		}
@@ -200,15 +228,19 @@ func (st *state) tryBusToMem() bool {
 		if !ok {
 			continue
 		}
-		loads := make(map[int]int, len(dests))
-		ok = true
+		// The memory route is built in val's own storage; it takes effect
+		// only once val.mem points at it.
+		mem := val.newMem(store)
 		for c, first := range dests {
+			if first == absent {
+				continue
+			}
 			l, found := st.findMemSlot(c, first-latL, store+latS, -1)
 			if !found || l < store+latS {
 				ok = false
 				break
 			}
-			loads[c] = l
+			mem.loads[c] = l
 		}
 		if !ok {
 			continue
@@ -217,27 +249,29 @@ func (st *state) tryBusToMem() bool {
 		// revert on overflow.
 		oldComm := val.comm
 		st.rt.PlaceOp(val.home, isa.MemUnit, store)
-		for c, l := range loads {
-			st.rt.PlaceOp(c, isa.MemUnit, l)
+		for c, l := range mem.loads {
+			if l != absent {
+				st.rt.PlaceOp(c, isa.MemUnit, l)
+			}
 		}
-		st.withSpanUpdate(val, func() {
-			val.comm = nil
-			val.mem = &memRoute{store: store, loads: loads}
-		})
+		st.removeValueSpans(val)
+		val.comm, val.mem = nil, mem
+		st.addValueSpans(val)
 		if !st.regsOK() {
-			st.withSpanUpdate(val, func() {
-				val.mem = nil
-				val.comm = oldComm
-			})
+			st.removeValueSpans(val)
+			val.comm, val.mem = oldComm, nil
+			st.addValueSpans(val)
 			st.rt.RemoveOp(val.home, isa.MemUnit, store)
-			for c, l := range loads {
-				st.rt.RemoveOp(c, isa.MemUnit, l)
+			for c, l := range mem.loads {
+				if l != absent {
+					st.rt.RemoveOp(c, isa.MemUnit, l)
+				}
 			}
 			continue
 		}
 		st.removeXfersOf(val.home, oldComm)
 		st.nMemOps[0]++
-		st.nMemOps[1] += len(loads)
+		st.nMemOps[1] += n
 		return true
 	}
 	return false
@@ -248,12 +282,11 @@ func (st *state) tryBusToMem() bool {
 // reduced … by inserting copy operations that use the interconnection
 // network").
 func (st *state) tryMemToBus(c int) bool {
-	for id, val := range st.vals {
-		_ = id
+	for _, val := range st.vals {
 		if val == nil || val.mem == nil {
 			continue
 		}
-		if _, touches := val.mem.loads[c]; !touches && val.home != c {
+		if val.mem.loads[c] == absent && val.home != c {
 			continue
 		}
 		// The single transfer must meet every destination's deadline.
@@ -274,24 +307,24 @@ func (st *state) tryMemToBus(c int) bool {
 			continue
 		}
 		oldMem := val.mem
-		st.withSpanUpdate(val, func() {
-			val.mem = nil
-			val.comm = newComm
-		})
+		st.removeValueSpans(val)
+		val.mem, val.comm = nil, newComm
+		st.addValueSpans(val)
 		if !st.regsOK() {
-			st.withSpanUpdate(val, func() {
-				val.comm = nil
-				val.mem = oldMem
-			})
+			st.removeValueSpans(val)
+			val.comm, val.mem = nil, oldMem
+			st.addValueSpans(val)
 			st.removeXfersOf(val.home, newComm)
 			continue
 		}
 		st.rt.RemoveOp(val.home, isa.MemUnit, oldMem.store)
 		for cc, l := range oldMem.loads {
-			st.rt.RemoveOp(cc, isa.MemUnit, l)
+			if l != absent {
+				st.rt.RemoveOp(cc, isa.MemUnit, l)
+			}
 		}
 		st.nMemOps[0]--
-		st.nMemOps[1] -= len(oldMem.loads)
+		st.nMemOps[1] -= present(oldMem.loads)
 		return true
 	}
 	return false
@@ -317,12 +350,13 @@ func (st *state) findMemSlot(c, from, to, dir int) (int, bool) {
 // placeXfersFor reserves the interconnect transfers that route val to every
 // cluster where it has scheduled uses: one shared-bus broadcast meeting the
 // tightest deadline (minFirst), or one point-to-point transfer per
-// destination meeting that destination's own deadline. On failure nothing
-// stays reserved.
+// destination meeting that destination's own deadline. The routing is
+// built in val's own storage, so val must not be bus-routed. On failure
+// nothing stays reserved.
 func (st *state) placeXfersFor(val *value, minFirst int) (*comm, bool) {
 	m := st.m
 	if st.p2p() {
-		dests := map[int]int{}
+		cm := val.newComm(true, 0)
 		for c, first := range val.minUse {
 			if c == val.home || first == noUse {
 				continue
@@ -335,23 +369,21 @@ func (st *state) placeXfersFor(val *value, minFirst int) (*comm, bool) {
 				}
 			}
 			if start < 0 {
-				for cc, ss := range dests {
-					st.rt.RemoveXfer(val.home, cc, ss)
-				}
+				st.removeXfersOf(val.home, cm)
 				return nil, false
 			}
 			st.rt.PlaceXfer(val.home, c, start)
-			dests[c] = start
+			cm.dests[c] = start
 		}
-		if len(dests) == 0 {
+		if present(cm.dests) == 0 {
 			return nil, false
 		}
-		return &comm{dests: dests}, true
+		return cm, true
 	}
 	for s := val.def; s+m.LatBus <= minFirst && s < val.def+st.ii; s++ {
 		if st.rt.CanPlaceXfer(val.home, -1, s) {
 			st.rt.PlaceXfer(val.home, -1, s)
-			return &comm{start: s}, true
+			return val.newComm(false, s), true
 		}
 	}
 	return nil, false
@@ -367,6 +399,8 @@ func (st *state) removeXfersOf(home int, cm *comm) {
 		return
 	}
 	for c, s := range cm.dests {
-		st.rt.RemoveXfer(home, c, s)
+		if s != absent {
+			st.rt.RemoveXfer(home, c, s)
+		}
 	}
 }

@@ -155,7 +155,9 @@ func Verify(g *ddg.Graph, m *machine.Config, s *Schedule) error {
 		if val.comm.dests != nil {
 			starts = starts[:0]
 			for _, st := range val.comm.dests {
-				starts = append(starts, st)
+				if st != absent {
+					starts = append(starts, st)
+				}
 			}
 		}
 		for _, st := range starts {
@@ -167,13 +169,15 @@ func Verify(g *ddg.Graph, m *machine.Config, s *Schedule) error {
 	}
 
 	// Register pressure, reconstructed from scratch.
+	var spans []regpress.Span
 	for c := 0; c < m.Clusters; c++ {
 		p := regpress.New(s.II)
 		for _, val := range vals {
 			if val == nil {
 				continue
 			}
-			for _, sp := range val.spans(c, m) {
+			spans = val.appendSpans(spans[:0], c, m)
+			for _, sp := range spans {
 				p.Add(sp.Start, sp.End)
 			}
 		}
@@ -195,7 +199,8 @@ func reconstructValues(g *ddg.Graph, m *machine.Config, s *Schedule) ([]*value, 
 	vals := make([]*value, n)
 	for v := 0; v < n; v++ {
 		if op := g.Nodes[v].Op; op.ProducesValue() {
-			vals[v] = newValue(s.Cluster[v], s.Time[v]+m.OpLatency(op), m.Clusters)
+			vals[v] = new(value)
+			vals[v].reset(s.Cluster[v], s.Time[v]+m.OpLatency(op), m.Clusters, make([]int, valueInts*m.Clusters))
 		}
 	}
 	for _, e := range g.Edges {
@@ -231,7 +236,7 @@ func reconstructValues(g *ddg.Graph, m *machine.Config, s *Schedule) ([]*value, 
 			if val.comm != nil {
 				return nil, fmt.Errorf("schedule: Verify: duplicate broadcast transfer of node %d", cm.Producer)
 			}
-			val.comm = &comm{start: cm.Start}
+			val.comm = val.newComm(false, cm.Start)
 			continue
 		}
 		if !p2p {
@@ -241,9 +246,9 @@ func reconstructValues(g *ddg.Graph, m *machine.Config, s *Schedule) ([]*value, 
 			return nil, fmt.Errorf("schedule: Verify: transfer of node %d to invalid cluster %d", cm.Producer, cm.Dest)
 		}
 		if val.comm == nil {
-			val.comm = &comm{dests: map[int]int{}}
+			val.comm = val.newComm(true, 0)
 		}
-		if _, dup := val.comm.dests[cm.Dest]; dup {
+		if val.comm.dests[cm.Dest] != absent {
 			return nil, fmt.Errorf("schedule: Verify: duplicate transfer of node %d to cluster %d", cm.Producer, cm.Dest)
 		}
 		val.comm.dests[cm.Dest] = cm.Start
@@ -258,6 +263,9 @@ func reconstructValues(g *ddg.Graph, m *machine.Config, s *Schedule) ([]*value, 
 	for _, mo := range s.MemOps {
 		if mo.Producer < 0 || mo.Producer >= n || vals[mo.Producer] == nil {
 			return nil, fmt.Errorf("schedule: Verify: mem op of invalid producer %d", mo.Producer)
+		}
+		if mo.Cluster < 0 || mo.Cluster >= m.Clusters {
+			return nil, fmt.Errorf("schedule: Verify: mem op of node %d in cluster %d", mo.Producer, mo.Cluster)
 		}
 		grp := groups[mo.Producer]
 		if grp == nil {
@@ -299,13 +307,13 @@ func reconstructValues(g *ddg.Graph, m *machine.Config, s *Schedule) ([]*value, 
 				return nil, fmt.Errorf("schedule: Verify: spill reload of node %d at %d before store completes at %d",
 					id, load, store.Cycle+latS)
 			}
-			val.spill = &spill{store: store.Cycle, load: load}
+			val.spill = val.newSpill(store.Cycle, load)
 			continue
 		}
 		if val.comm != nil {
 			return nil, fmt.Errorf("schedule: Verify: node %d has both a transfer and a memory route", id)
 		}
-		route := &memRoute{store: store.Cycle, loads: map[int]int{}}
+		route := val.newMem(store.Cycle)
 		for c, l := range grp.loads {
 			if c == val.home {
 				return nil, fmt.Errorf("schedule: Verify: memory route of node %d reloads in its home cluster", id)

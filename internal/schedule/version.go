@@ -19,4 +19,8 @@ package schedule
 //	gp/1  the original PR 1–2 schedulers
 //	gp/2  incremental allocation-free partition refinement (apply/undo move
 //	      engine, three-stage candidate screening, map-order tie-break fix)
-const AlgoVersion = "gp/2"
+//	gp/3  allocation-free placement probes and pooled attempt scratch (dense
+//	      slot deltas, recycled plans and value views, merits sorted once
+//	      per plan); internal/core/testdata/schedule_digests.txt shows every
+//	      schedule byte-identical to gp/2, bumped per the rule above
+const AlgoVersion = "gp/3"
