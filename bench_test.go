@@ -9,7 +9,8 @@
 //	BenchmarkFigure2FourCluster   — Figure 2 bottom (4-cluster, 1-cycle bus)
 //	BenchmarkFigure3              — Figure 3 (4-cluster, 2-cycle bus)
 //	BenchmarkTable2SchedulerTime  — Table 2 (URACAM vs GP scheduling time)
-//	BenchmarkAblation*            — DESIGN.md §6 ablations
+//	BenchmarkAblation*            — partitioner ablations (A1/A2/A4 of
+//	                                cmd/gpbench -ablations) and a second bus
 package gpsched
 
 import (
@@ -81,7 +82,8 @@ func BenchmarkTable2SchedulerTime(b *testing.B) {
 	b.ReportMetric(rep.TimeRatio(), "URACAM/GP-time")
 }
 
-// Ablations (DESIGN.md §6) on the headline configuration.
+// Ablations on the headline configuration: A1, A2 and A4 of cmd/gpbench's
+// -ablations table, and a two-bus machine.
 
 func BenchmarkAblationUniformWeights(b *testing.B) {
 	runPanel(b, bench.Config{

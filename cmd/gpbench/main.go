@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	f3 := fs.Bool("figure3", false, "run Figure 3 (2-cycle bus, 4 clusters)")
 	t2 := fs.Bool("table2", false, "run Table 2 (scheduling time)")
 	sum := fs.Bool("summary", false, "print the headline speedups")
-	abl := fs.Bool("ablations", false, "run the DESIGN.md ablations")
+	abl := fs.Bool("ablations", false, "run the partitioner ablations (A1 uniform weights, A2 no refinement, A4 greedy-only matching, A6 register-aware)")
 	sweep := fs.Bool("sweep", false, "run the machine × corpus sweep and emit one deterministic CSV")
 	machines := fs.String("machine", "", "comma-separated machine-description files (default: the built-in sweep set)")
 	short := fs.Bool("short", false, "trim every corpus to its first two loops per benchmark (fast CI sweep)")

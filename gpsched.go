@@ -159,7 +159,8 @@ func Hetero(name string, specs []ClusterSpec, topo Topology, nbus, latBus int, p
 func Verify(g *DDG, m *Machine, s *Schedule) error { return schedule.Verify(g, m, s) }
 
 // SPECfp95Corpus generates the deterministic synthetic stand-in for the
-// paper's SPECfp95 evaluation corpus (see DESIGN.md §4).
+// paper's SPECfp95 evaluation corpus (package internal/workload documents
+// the substitution).
 func SPECfp95Corpus() []*Benchmark { return workload.SPECfp95() }
 
 // DSPCorpus generates the deterministic integer-heavy DSP/MediaBench-style

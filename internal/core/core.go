@@ -76,12 +76,6 @@ type Options struct {
 	// Ignored for URACAM, which has no partition to vary. Values above 16
 	// are clamped; 0 and 1 mean the sequential paper path.
 	Portfolio int
-	// Arena, when non-nil, supplies the partitioner's scratch arena so a
-	// serving path can pool the cold-path allocations across requests. Only
-	// the sequential (Portfolio ≤ 1) path uses it; portfolio search
-	// acquires one pooled arena per seed. The arena must not be shared with
-	// a concurrent ScheduleLoop call.
-	Arena *partition.Arena
 }
 
 // maxPortfolio caps the racer count: past this the marginal II benefit is
@@ -190,10 +184,15 @@ func ScheduleLoopContext(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 
 	var assign []int
 	var part *partition.Result
-	partitioner := partition.NewWithArena(g, m, opts.Partition, opts.Arena)
+	var partitioner *partition.Partitioner
 	mode := schedule.ModeURACAM
 	switch opts.Algorithm {
 	case GP, FixedPartition:
+		// The partitioner's scratch, matching tables included, comes from
+		// the package pool, so it is reused across loops and requests.
+		ar := partition.AcquireArena()
+		defer ar.Release()
+		partitioner = partition.NewWithArena(g, m, opts.Partition, ar)
 		pt0 := time.Now()
 		part = partitioner.Partition(res.MII)
 		res.PartitionDur += time.Since(pt0)

@@ -7,9 +7,9 @@
 // state, the edge weights and the CSR group adjacency were rebuilt with
 // fresh heap memory per request. The Arena extends the scratch discipline
 // to all of it: one Arena owns every buffer a full Partition run needs, and
-// reusing the Arena across runs (the serving path acquires one per request
-// from a sync.Pool) turns the cold path into a handful of unavoidable
-// allocations (the Result and its Assign slice).
+// reusing the Arena across runs (core.ScheduleLoopContext acquires one per
+// loop from a sync.Pool) turns the cold path into a handful of unavoidable
+// allocations (the Partitioner, the Result and its Assign slice).
 //
 // Ownership contract (docs/ARCHITECTURE.md "Request arenas"):
 //
@@ -19,8 +19,9 @@
 //   - The Arena may retain buffer capacity between runs, never content: a
 //     Partition run fully reinitializes every buffer it reads, so results
 //     are a pure function of (graph, machine, options) no matter what the
-//     previous run left behind. The determinism suite pins this by
-//     comparing fresh-arena and reused-arena outputs.
+//     previous run left behind. TestReusedArenaMatchesFresh pins this on
+//     the SPECfp95 corpus, and TestScheduleDigests through core's pooled
+//     arenas.
 //   - Release returns the Arena to the package pool. The caller must not
 //     touch the Arena, or any Partitioner bound to it, afterwards. Results
 //     (Result, Assign) are independently allocated and stay valid.
@@ -44,8 +45,10 @@ type Arena struct {
 
 	levels []*level // level hierarchy, reused finest-first per run
 
-	// Coarsening scratch: collapseEdges accumulator and key order, fuse's
-	// remap table and matched-edge order.
+	// Coarsening scratch: the matching at every level (its result lives
+	// until the next level's matching), collapseEdges accumulator and key
+	// order, fuse's remap table and matched-edge order.
+	match graph.Matcher
 	owner []int
 	sum   map[[2]int]int64
 	keys  [][2]int

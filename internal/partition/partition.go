@@ -33,7 +33,8 @@ import (
 )
 
 // WeightScheme selects how coarsening edge weights are computed. The paper
-// scheme is the default; Uniform is an ablation (DESIGN.md A1).
+// scheme is the default; Uniform is an ablation (A1 in cmd/gpbench's
+// -ablations table).
 type WeightScheme int8
 
 const (
@@ -415,9 +416,9 @@ func (p *Partitioner) coarsen() []*level {
 		gg := &graph.Graph{N: len(cur.groups), Edges: cur.edges}
 		var m *graph.Matching
 		if p.opts.GreedyMatchingOnly {
-			m = graph.GreedyMatching(gg)
+			m = p.ar.match.Greedy(gg)
 		} else {
-			m = graph.MaxWeightMatching(gg)
+			m = p.ar.match.MaxWeight(gg)
 		}
 		next := p.fuse(cur, m, count)
 		if len(next.groups) == len(cur.groups) {

@@ -92,8 +92,8 @@ func (p *Partitioner) evaluate(assign []int, ii int) estimate {
 	if p.opts.RegisterAware {
 		// Estimate per-cluster register pressure from the ASAP lifetimes
 		// and charge the spill traffic of overflowing values as extra
-		// memory-port load, possibly raising the II (DESIGN.md A6; the
-		// paper's §4.2 future-work suggestion).
+		// memory-port load, possibly raising the II (ablation A6 in
+		// cmd/gpbench; the paper's §4.2 future-work suggestion).
 		if extraMemII := p.spillPressureII(assign, &p.sc.times, counts); extraMemII > used {
 			t2, used2 := g.EstimateTimeInto(m, extraMemII, p.extra, &p.sc.times)
 			est.t, est.ii = t2, used2

@@ -23,4 +23,8 @@ package schedule
 //	      slot deltas, recycled plans and value views, merits sorted once
 //	      per plan); internal/core/testdata/schedule_digests.txt shows every
 //	      schedule byte-identical to gp/2, bumped per the rule above
-const AlgoVersion = "gp/3"
+//	gp/4  coarsening matching on reachable states only (memoized exact DP)
+//	      and out of arena-owned scratch (greedy order, 2-exchange best-edge
+//	      index, Matching result); every digest byte-identical to gp/3,
+//	      bumped per the rule above
+const AlgoVersion = "gp/4"

@@ -486,17 +486,11 @@ func (s *Server) compute(key string, job *scheduleJob, epoch uint64, tr *obs.Tra
 		return nil, err
 	}
 	tr.Phase("admission", time.Since(adm))
-	// The partitioner runs out of a pooled arena: across requests the
-	// coarsening levels, engine state and work lists reuse their capacity.
-	// The portfolio path acquires its own arena per racer and ignores this
-	// one (see core.Options.Arena).
-	ar := partition.AcquireArena()
-	defer ar.Release()
 	k := job.portfolio
 	if k == 0 {
 		k = s.cfg.Portfolio
 	}
-	opts := &core.Options{Algorithm: job.alg, Portfolio: k, Arena: ar}
+	opts := &core.Options{Algorithm: job.alg, Portfolio: k}
 	if s.cfg.BalanceBestFit {
 		opts.Partition = &partition.Options{BalanceBestFit: true}
 	}

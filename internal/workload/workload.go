@@ -12,7 +12,7 @@
 // recurrences; hydro2d and applu are recurrence-bound; fpppp has huge
 // straight-line FP bodies). The schedulers consume only the DDG and trip
 // count, so a corpus spanning the same structural axes exercises the same
-// code paths; see DESIGN.md §4 for the substitution argument.
+// code paths.
 package workload
 
 import (
