@@ -18,7 +18,10 @@
 //
 // Usage:
 //
-//	gpcoordd [-addr :8038] [-heartbeat 2s] [-suspect-after 6s] [-dead-after 12s] [-job-workers N] [-journal DIR] [-load-bound 1.25]
+//	gpcoordd [-addr :8038] [-heartbeat 2s] [-suspect-after 6s] [-dead-after 12s]
+//	         [-job-workers N] [-cell-attempts N] [-journal DIR] [-load-bound 1.25]
+//	         [-shadow-rate R] [-shadow-canary ID] [-log-format text|json]
+//	         [-debug-addr ADDR] [-drain 30s]
 //	gpcoordd -bench-json BENCH_cluster.json [-bench-requests N] [-bench-concurrency N] [-bench-workers N]
 //
 // Placement is bounded-load rendezvous hashing: -load-bound sets the

@@ -101,7 +101,7 @@ func waitForReadyNodes(t *testing.T, base string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(base + "/v1/nodes")
+		resp, err := http.Get(base + "/v1/fleet/nodes")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,12 +163,11 @@ func TestCoorddSmoke(t *testing.T) {
 		Nodes   struct {
 			Ready int `json:"ready"`
 		} `json:"nodes"`
-		Advice string `json:"advice"`
 	}
 	if resp.StatusCode != http.StatusOK || json.Unmarshal(healthBody, &health) != nil {
 		t.Fatalf("healthz: %d %q", resp.StatusCode, healthBody)
 	}
-	if health.Status != "ok" || health.Journal || health.Nodes.Ready != 2 || health.Advice == "" {
+	if health.Status != "ok" || health.Journal || health.Nodes.Ready != 2 {
 		t.Fatalf("healthz summary off: %s", healthBody)
 	}
 
@@ -375,7 +374,7 @@ func TestCoorddJournalRoundTrip(t *testing.T) {
 	// dead) for the whole assertion window.
 	base2, shutdown2 := startCoordd(t, "-journal", journal, "-heartbeat", "30s")
 	defer shutdown2()
-	resp, err := http.Get(base2 + "/v1/nodes")
+	resp, err := http.Get(base2 + "/v1/fleet/nodes")
 	if err != nil {
 		t.Fatal(err)
 	}

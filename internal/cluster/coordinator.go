@@ -17,28 +17,31 @@
 //
 // Endpoints:
 //
-//	POST /v1/nodes/register            worker announces {id, endpoint, capacity}
-//	POST /v1/nodes/heartbeat           worker liveness (+ piggybacked load report)
-//	POST /v1/nodes/deregister          graceful worker exit
-//	GET  /v1/fleet/nodes               node table: health, schema, in-flight, load
-//	GET  /v1/fleet/advice              hysteresis-damped scale up/down/hold verdict
-//	POST /v1/fleet/nodes/{id}/drain    stop placing on a node (undrain reverses)
-//	GET  /v1/nodes                     deprecated alias of /v1/fleet/nodes
-//	POST /v1/schedule                  proxied single-loop scheduling (cache-affine)
-//	POST /v1/schedule/batch            per-loop fan-out of a batch, reassembled in order
-//	POST /v1/jobs                      async sweep job; returns {id, cells}
-//	GET  /v1/jobs                      all retained jobs' status summaries
-//	GET  /v1/jobs/{id}                 job status and per-cell placement detail
-//	GET  /v1/jobs/{id}/csv             assembled CSV once the job is done
-//	GET  /healthz                      liveness + fleet summary (JSON)
-//	GET  /metrics                      coordinator + per-node Prometheus text
+//	POST /v1/nodes/register              worker announces {id, endpoint, capacity}
+//	POST /v1/nodes/heartbeat             worker liveness (+ piggybacked load report)
+//	POST /v1/nodes/deregister            graceful worker exit
+//	GET  /v1/fleet/nodes                 node table: health, schema, in-flight, load
+//	POST /v1/fleet/nodes/{id}/drain      stop placing on a node
+//	POST /v1/fleet/nodes/{id}/undrain    place on it again
+//	POST /v1/schedule                    proxied single-loop scheduling (cache-affine)
+//	POST /v1/schedule/batch              per-loop fan-out of a batch, reassembled in order
+//	POST /v1/cache/flush                 raise the fleet cache epoch, fan the flush out
+//	POST /v1/jobs                        async sweep job; returns {id, cells}
+//	GET  /v1/jobs                        all retained jobs' status summaries
+//	GET  /v1/jobs/{id}                   job status and per-cell placement detail
+//	GET  /v1/jobs/{id}/csv               assembled CSV once the job is done
+//	GET  /healthz                        liveness + fleet summary (JSON)
+//	GET  /metrics                        coordinator + per-node Prometheus text
+//	GET  /v1/debug/traces                recent placement traces
+//	GET  /v1/debug/traces/{id}           one placement trace by request ID
 //
-// Placement is rendezvous hashing with bounded loads: the HRW owner of a
-// key serves it while its in-flight count stays under LoadBound × the
-// fleet mean; beyond that the request spills to the next-ranked node, so a
-// Zipf-hot key saturates neither its owner nor the response contract —
-// responses stay byte-identical wherever they are computed. Every routed
-// unit of work walks the explicit placement protocol in placement.go.
+// Placement is rendezvous hashing with bounded loads (place, in hrw.go):
+// the HRW owner of a key serves it while its in-flight count stays under
+// LoadBound × the fleet mean; beyond that the request spills to the
+// next-ranked node, so a Zipf-hot key saturates neither its owner nor the
+// response contract — responses stay byte-identical wherever they are
+// computed. Sweep cells walk the explicit placement protocol in
+// placement.go; proxied requests only count their in-flight work.
 //
 // All mutable control-plane state — node registrations, job specs,
 // completed cell fragments — is written through a pluggable store
@@ -70,7 +73,7 @@ import (
 )
 
 // Config tunes the coordinator. The zero value picks the defaults noted on
-// each field.
+// each field; New resolves them once (withDefaults).
 type Config struct {
 	// Store persists the coordinator's control-plane state. Nil means a
 	// fresh in-memory store: no durability, no recovery, the exact
@@ -90,9 +93,6 @@ type Config struct {
 	// DeadAfter is the heartbeat age that turns a node dead and hands its
 	// in-flight work to the reconciler (default 6 × HeartbeatInterval).
 	DeadAfter time.Duration
-	// DeadExpiry is how long a dead node is retained for observability
-	// before it is garbage-collected from the registry (default 10m).
-	DeadExpiry time.Duration
 	// ReconcileInterval is the health-sweep and reconciliation cadence
 	// (default HeartbeatInterval / 2).
 	ReconcileInterval time.Duration
@@ -108,12 +108,6 @@ type Config struct {
 	// JobWorkers is the number of concurrently dispatched cells per job
 	// (default 4).
 	JobWorkers int
-	// MaxJobs bounds the retained job table; creating a job beyond it
-	// evicts the oldest finished job, and fails with 429 when every
-	// retained job is still running (default 64).
-	MaxJobs int
-	// MaxBodyBytes caps a request body (default 8 MiB).
-	MaxBodyBytes int64
 	// ShadowRate is the fraction of successful proxied /v1/schedule
 	// responses replayed against a second worker and byte-compared
 	// (0 disables, 1 shadows everything). Any divergence increments
@@ -132,119 +126,52 @@ type Config struct {
 	// owner spills to the next-ranked node under the bound. 0 picks the
 	// default 1.25; negative disables spilling (pure HRW).
 	LoadBound float64
-	// AdviceHysteresis is how many consecutive reconcile ticks a raw
-	// scaling verdict must hold before /v1/fleet/advice adopts it
-	// (default 3).
-	AdviceHysteresis int
-	// AdviceP99Micros is the worst-node p99 (µs) above which the advisor
-	// recommends scaling up while load is in flight (default 250000 —
-	// 250ms; 0 keeps the default, negative disables the latency trigger).
-	AdviceP99Micros float64
 }
 
-func (c Config) heartbeatInterval() time.Duration {
-	if c.HeartbeatInterval > 0 {
-		return c.HeartbeatInterval
+// withDefaults resolves every zero (or negative) field to its documented
+// default. HeartbeatInterval resolves first: the health thresholds and the
+// reconcile cadence derive from it. A negative LoadBound stays negative —
+// place reads any bound <= 0 as pure HRW.
+func (c Config) withDefaults() Config {
+	if c.HeartbeatInterval <= 0 {
+		c.HeartbeatInterval = 2 * time.Second
 	}
-	return 2 * time.Second
+	if c.SuspectAfter <= 0 {
+		c.SuspectAfter = 3 * c.HeartbeatInterval
+	}
+	if c.DeadAfter <= 0 {
+		c.DeadAfter = 6 * c.HeartbeatInterval
+	}
+	if c.ReconcileInterval <= 0 {
+		c.ReconcileInterval = c.HeartbeatInterval / 2
+	}
+	if c.ScheduleTimeout <= 0 {
+		c.ScheduleTimeout = 60 * time.Second
+	}
+	if c.CellTimeout <= 0 {
+		c.CellTimeout = 10 * time.Minute
+	}
+	if c.MaxCellAttempts <= 0 {
+		c.MaxCellAttempts = 8
+	}
+	if c.JobWorkers <= 0 {
+		c.JobWorkers = 4
+	}
+	if c.LoadBound == 0 {
+		c.LoadBound = 1.25
+	}
+	return c
 }
 
-func (c Config) suspectAfter() time.Duration {
-	if c.SuspectAfter > 0 {
-		return c.SuspectAfter
-	}
-	return 3 * c.heartbeatInterval()
-}
-
-func (c Config) deadAfter() time.Duration {
-	if c.DeadAfter > 0 {
-		return c.DeadAfter
-	}
-	return 6 * c.heartbeatInterval()
-}
-
-func (c Config) deadExpiry() time.Duration {
-	if c.DeadExpiry > 0 {
-		return c.DeadExpiry
-	}
-	return 10 * time.Minute
-}
-
-func (c Config) reconcileInterval() time.Duration {
-	if c.ReconcileInterval > 0 {
-		return c.ReconcileInterval
-	}
-	return c.heartbeatInterval() / 2
-}
-
-func (c Config) scheduleTimeout() time.Duration {
-	if c.ScheduleTimeout > 0 {
-		return c.ScheduleTimeout
-	}
-	return 60 * time.Second
-}
-
-func (c Config) cellTimeout() time.Duration {
-	if c.CellTimeout > 0 {
-		return c.CellTimeout
-	}
-	return 10 * time.Minute
-}
-
-func (c Config) maxCellAttempts() int {
-	if c.MaxCellAttempts > 0 {
-		return c.MaxCellAttempts
-	}
-	return 8
-}
-
-func (c Config) jobWorkers() int {
-	if c.JobWorkers > 0 {
-		return c.JobWorkers
-	}
-	return 4
-}
-
-func (c Config) maxJobs() int {
-	if c.MaxJobs > 0 {
-		return c.MaxJobs
-	}
-	return 64
-}
-
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes > 0 {
-		return c.MaxBodyBytes
-	}
-	return 8 << 20
-}
-
-func (c Config) loadBound() float64 {
-	switch {
-	case c.LoadBound < 0:
-		return 0 // disabled: placeBounded degenerates to plain HRW
-	case c.LoadBound == 0:
-		return 1.25
-	}
-	return c.LoadBound
-}
-
-func (c Config) adviceHysteresis() int {
-	if c.AdviceHysteresis > 0 {
-		return c.AdviceHysteresis
-	}
-	return 3
-}
-
-func (c Config) adviceP99Micros() float64 {
-	switch {
-	case c.AdviceP99Micros < 0:
-		return 0 // latency trigger disabled
-	case c.AdviceP99Micros == 0:
-		return 250_000
-	}
-	return c.AdviceP99Micros
-}
+const (
+	// deadExpiry is how long a dead node is retained for observability
+	// before it is garbage-collected from the registry.
+	deadExpiry = 10 * time.Minute
+	// maxJobs bounds the retained job table; creating a job beyond it
+	// evicts the oldest finished job, and fails with 429 when every
+	// retained job is still running.
+	maxJobs = 64
+)
 
 // Coordinator is the gpcoordd daemon. Create with New, serve Handler, and
 // Close after the HTTP server has shut down (Close stops the reconciler
@@ -279,11 +206,9 @@ type Coordinator struct {
 
 	jobs jobTable
 
-	// placements is the live table of durable (sweep-cell) placements,
-	// mirroring the store; adv is the fleet scaling advisor behind
-	// GET /v1/fleet/advice.
+	// placements is the live table of sweep-cell placements, mirroring
+	// the store.
 	placements placementTable
-	adv        advisor
 }
 
 // New returns a running coordinator (its reconciliation loop is live),
@@ -292,6 +217,7 @@ type Coordinator struct {
 // cannot be loaded or whose jobs cannot be indexed fails construction —
 // silently discarding a journal would break the durability promise.
 func New(cfg Config) (*Coordinator, error) {
+	cfg = cfg.withDefaults()
 	st := cfg.Store
 	if st == nil {
 		st = store.NewMemory()
@@ -319,11 +245,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc("POST /v1/nodes/register", c.handleRegister)
 	c.mux.HandleFunc("POST /v1/nodes/heartbeat", c.handleHeartbeat)
 	c.mux.HandleFunc("POST /v1/nodes/deregister", c.handleDeregister)
-	// /v1/nodes is the deprecated alias of /v1/fleet/nodes (same handler,
-	// same bytes); kept so pre-fleet-API tooling keeps working.
-	c.mux.HandleFunc("GET /v1/nodes", c.handleNodes)
 	c.mux.HandleFunc("GET /v1/fleet/nodes", c.handleNodes)
-	c.mux.HandleFunc("GET /v1/fleet/advice", c.handleFleetAdvice)
 	c.mux.HandleFunc("POST /v1/fleet/nodes/{id}/drain", c.handleDrain)
 	c.mux.HandleFunc("POST /v1/fleet/nodes/{id}/undrain", c.handleUndrain)
 	c.mux.HandleFunc("POST /v1/schedule", c.handleSchedule)
@@ -394,7 +316,7 @@ func (c *Coordinator) Nodes() []NodeInfo { return c.reg.snapshot() }
 
 // HealthSummary is the body of the coordinator's GET /healthz: liveness
 // plus a one-glance fleet summary (durability mode, node-health counts,
-// running jobs, epoch and the current scaling advice).
+// running jobs and the epoch).
 type HealthSummary struct {
 	Status  string `json:"status"`
 	Journal bool   `json:"journal"`
@@ -405,8 +327,7 @@ type HealthSummary struct {
 		Dead     int `json:"dead"`
 		Draining int `json:"draining"`
 	} `json:"nodes"`
-	JobsRunning int    `json:"jobs_running"`
-	Advice      string `json:"advice"`
+	JobsRunning int `json:"jobs_running"`
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -424,7 +345,6 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sum.JobsRunning = c.jobs.running()
-	sum.Advice = c.adv.snapshot().Advice
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -433,7 +353,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	c.metrics.render(w, c.reg.snapshot(), c.jobs.running(), c.epoch.Load(), c.st.Stats(), c.adv.snapshot())
+	c.metrics.render(w, c.reg.snapshot(), c.jobs.running(), c.epoch.Load(), c.st.Stats())
 }
 
 // writeError answers with the fleet-wide error envelope
@@ -450,7 +370,7 @@ func (c *Coordinator) writeError(w http.ResponseWriter, status int, code, format
 }
 
 func (c *Coordinator) readJSON(w http.ResponseWriter, r *http.Request, out any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.maxBodyBytes()))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	return dec.Decode(out)
 }
@@ -482,7 +402,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.reg.noteSchema(req.ID, req.SchemaVersion)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(server.RegisterResponse{
-		HeartbeatMillis: int(c.cfg.heartbeatInterval() / time.Millisecond),
+		HeartbeatMillis: int(c.cfg.HeartbeatInterval / time.Millisecond),
 		Epoch:           c.epoch.Load(),
 	})
 }
@@ -529,19 +449,10 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleFleetAdvice answers GET /v1/fleet/advice with the advisor's
-// hysteresis-damped scaling verdict.
-func (c *Coordinator) handleFleetAdvice(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(c.adv.snapshot())
-}
-
 // handleDrain and handleUndrain flip a node's drain flag
 // (POST /v1/fleet/nodes/{id}/drain and /undrain): a draining node keeps
 // its in-flight work and heartbeats but attracts no new placements, and
-// its durable placements walk the Ready→Draining edge (back on undrain).
+// its cell placements walk the Ready→Draining edge (back on undrain).
 func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request)   { c.setDrain(w, r, true) }
 func (c *Coordinator) handleUndrain(w http.ResponseWriter, r *http.Request) { c.setDrain(w, r, false) }
 
@@ -624,7 +535,7 @@ func (c *Coordinator) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	tr := obs.AcquireTrace(r.Header.Get(obs.RequestIDHeader), "proxy-schedule")
 	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, c.cfg.maxBodyBytes())); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)); err != nil {
 		c.finishProxy(w, tr, "schedule", "bad-request", start)
 		c.writeError(w, http.StatusBadRequest, server.ErrCodeBadRequest, "read body: %v", err)
 		return
@@ -655,6 +566,9 @@ func (c *Coordinator) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
+	case fr.canceled:
+		// The client hung up: nobody is left to read an answer.
+		c.finishProxy(w, tr, "schedule", "canceled", start)
 	case fr.noWorkers:
 		c.metrics.noCapacity.Add(1)
 		c.finishProxy(w, tr, "schedule", "no-workers", start)
@@ -680,94 +594,107 @@ type fleetResult struct {
 	resp *http.Response
 	body []byte
 
-	spilled    bool // the serving node was a bounded-load spill target
+	spilled    bool // some attempt was placed on a bounded-load spill target
 	failedOver bool // at least one worker failed before one served
 
+	canceled     bool  // the caller's context ended first; no worker was blamed
 	noWorkers    bool  // no placeable candidate remained
 	allSaturated bool  // at least one attempt, every one shed with 429
 	lastErr      error // last worker failure; nil when noWorkers
 }
 
-// scheduleOnFleet runs the placement protocol for one singleton schedule
-// body: bounded-load rendezvous placement on the content-address key
-// (Pending→Preparing), then — when the chosen worker fails — the abort edge
-// back to Pending with the node excluded, and the next round places down
-// the HRW ranking. Both the singleton proxy and the batch fan-out ride on
-// it. The placement is transient: it drives the in-flight accounting and
-// the per-transition metrics, then drops when the response is relayed.
-// Every attempt is recorded on tr (nil-safe) and forwarded under reqID, and
-// every failure emits one structured event carrying the request ID, node,
-// attempt number and reason.
+// scheduleOnFleet places one singleton schedule body and forwards it:
+// bounded-load rendezvous placement on the content-address key, then — when
+// the chosen worker fails — the next round places down the HRW ranking with
+// the failed node excluded. Both the singleton proxy and the batch fan-out
+// ride on it. The request is transient, so it stays outside the placement
+// protocol: each attempt holds one in-flight slot on its node (bind) for
+// exactly the length of its forward. Every attempt is recorded on tr
+// (nil-safe) and forwarded under reqID, and every failure emits one
+// structured event carrying the request ID, node, attempt number and
+// reason. When ctx ends (the client hung up) the walk stops: a forward the
+// caller canceled is no verdict on the worker, so no node is blamed,
+// excluded or counted as a failover.
 func (c *Coordinator) scheduleOnFleet(ctx context.Context, key string, reqBody []byte, reqID string, tr *obs.Trace) fleetResult {
-	pl := c.newPlacement(key, false)
-	defer pl.drop()
+	exclude := map[string]bool{}
 	var lastErr error
-	var everSpilled, failedOver bool
+	var spilled, failedOver bool
 	allSaturated := true
-	attempt := 0
-	for {
+	for attempt := 1; ctx.Err() == nil; attempt++ {
 		placeStart := time.Now()
-		node, owner, rank, spilled, ok := placeBoundedOwner(c.reg.candidates(), key, pl.exclude, c.cfg.loadBound())
+		node, owner, rank, ok := place(c.reg.candidates(), key, exclude, c.cfg.LoadBound)
 		if !ok {
 			break
 		}
-		attempt++
-		c.metrics.placements.Add(1)
-		c.reg.countRequest(node.id)
-		pl.prepare(node, spilled)
-		if spilled {
-			everSpilled = true
-			c.reg.countSpill(owner, node.id)
-			c.metrics.noteSpill(key)
-		}
+		c.bind(node, owner, rank, key)
+		spilled = spilled || rank > 0
 		tr.PhaseNote("place", fmt.Sprintf("node=%s rank=%d owner=%s spilled=%t excluded=%d",
-			node.id, rank, owner, spilled, len(pl.exclude)), time.Since(placeStart))
+			node.id, rank, owner, rank > 0, len(exclude)), time.Since(placeStart))
 		proxyStart := time.Now()
-		resp, body, err := c.forward(ctx, node, "/v1/schedule", reqBody, c.cfg.scheduleTimeout(), reqID)
+		resp, body, err := c.forward(ctx, node, "/v1/schedule", reqBody, c.cfg.ScheduleTimeout, reqID)
+		c.reg.decInflight(node.id)
 		switch {
-		case err != nil:
-			// Transport failure or truncated body: the worker is gone or
-			// going — suspect it and fail over down the HRW ranking.
+		case err != nil && ctx.Err() != nil:
+			// The caller is gone, not the worker; the loop condition ends
+			// the walk. forward's own per-attempt timeout is a child of
+			// ctx, so a slow worker still lands in the next case.
+			tr.PhaseNote("proxy", "node="+node.id+" canceled", time.Since(proxyStart))
+			continue
+		case err != nil, resp.StatusCode >= 500:
+			// Transport failure, truncated body or 5xx: the worker is gone
+			// or going — suspect it and fail over down the HRW ranking.
+			note, reason := "transport-error", ""
+			if err != nil {
+				reason = err.Error()
+				lastErr = fmt.Errorf("worker %s: %v", node.id, err)
+			} else {
+				note = fmt.Sprintf("http-%d", resp.StatusCode)
+				reason = fmt.Sprintf("HTTP %d: %s", resp.StatusCode, firstLine(body))
+				lastErr = fmt.Errorf("worker %s answered %d: %s", node.id, resp.StatusCode, firstLine(body))
+			}
 			c.reg.reportFailure(node.id)
 			c.metrics.failovers.Add(1)
-			pl.abort()
-			failedOver = true
-			lastErr = fmt.Errorf("worker %s: %v", node.id, err)
-			allSaturated = false
-			tr.PhaseNote("proxy", "node="+node.id+" transport-error", time.Since(proxyStart))
+			exclude[node.id] = true
+			failedOver, allSaturated = true, false
+			tr.PhaseNote("proxy", "node="+node.id+" "+note, time.Since(proxyStart))
 			c.log.Warn("worker attempt failed, failing over",
-				"request", reqID, "node", node.id, "attempt", attempt, "reason", err.Error())
-		case resp.StatusCode >= 500:
-			c.reg.reportFailure(node.id)
-			c.metrics.failovers.Add(1)
-			pl.abort()
-			failedOver = true
-			lastErr = fmt.Errorf("worker %s answered %d: %s", node.id, resp.StatusCode, firstLine(body))
-			allSaturated = false
-			tr.PhaseNote("proxy", fmt.Sprintf("node=%s http-%d", node.id, resp.StatusCode), time.Since(proxyStart))
-			c.log.Warn("worker attempt failed, failing over",
-				"request", reqID, "node", node.id, "attempt", attempt, "reason", fmt.Sprintf("HTTP %d: %s", resp.StatusCode, firstLine(body)))
+				"request", reqID, "node", node.id, "attempt", attempt, "reason", reason)
 		case resp.StatusCode == http.StatusTooManyRequests:
 			// Saturation is load, not sickness: try another worker without
 			// marking this one suspect.
 			c.metrics.retries.Add(1)
-			pl.abort()
+			exclude[node.id] = true
 			lastErr = fmt.Errorf("worker %s saturated", node.id)
 			tr.PhaseNote("proxy", "node="+node.id+" saturated", time.Since(proxyStart))
 			c.log.Info("worker saturated, retrying on another",
 				"request", reqID, "node", node.id, "attempt", attempt)
 		default:
-			pl.ready()
 			tr.PhaseNote("proxy", fmt.Sprintf("node=%s http-%d", node.id, resp.StatusCode), time.Since(proxyStart))
-			return fleetResult{node: node, resp: resp, body: body, spilled: everSpilled, failedOver: failedOver}
+			return fleetResult{node: node, resp: resp, body: body, spilled: spilled, failedOver: failedOver}
 		}
 	}
 	return fleetResult{
-		spilled:      everSpilled,
+		spilled:      spilled,
 		failedOver:   failedOver,
+		canceled:     ctx.Err() != nil,
 		noWorkers:    lastErr == nil,
 		allSaturated: lastErr != nil && allSaturated,
 		lastErr:      lastErr,
+	}
+}
+
+// bind commits one placement decision, for a proxied request and a sweep
+// cell alike: it counts the placement, the node's routed request and one
+// in-flight slot on the node — the load signal place spills on, which the
+// caller releases (reg.decInflight) once its forward returns — and
+// attributes a spill (rank > 0) to the fleet total, the owner that shed the
+// key, the node that absorbed it and the key's class.
+func (c *Coordinator) bind(node candidate, owner string, rank int, key string) {
+	c.metrics.placements.Add(1)
+	c.reg.countPlacement(node.id, owner, rank > 0)
+	if rank > 0 {
+		c.metrics.spills.Add(1)
+		c.metrics.spillClasses.Add(keyClass(key))
 	}
 }
 
@@ -781,13 +708,14 @@ func (c *Coordinator) scheduleOnFleet(ctx context.Context, key string, reqBody [
 // kill: a dead worker's loops fail over and the bytes do not change).
 // Per-loop failures render as error elements in place; loops that cannot be
 // forwarded at all (no workers, fleet saturated) do too, keeping partial
-// results useful. Shadow replay stays a singleton-path concern.
+// results useful. A client that hangs up stops the fan-out. Shadow replay
+// stays a singleton-path concern.
 func (c *Coordinator) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	c.metrics.batchReqs.Add(1)
 	start := time.Now()
 	tr := obs.AcquireTrace(r.Header.Get(obs.RequestIDHeader), "proxy-batch")
 	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, c.cfg.maxBodyBytes())); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)); err != nil {
 		c.finishProxy(w, tr, "batch", "bad-request", start)
 		c.writeError(w, http.StatusBadRequest, server.ErrCodeBadRequest, "read body: %v", err)
 		return
@@ -812,7 +740,12 @@ func (c *Coordinator) handleScheduleBatch(w http.ResponseWriter, r *http.Request
 		w.Header().Set("X-Phase-Timing", st)
 	}
 	_, _ = io.WriteString(w, server.BatchOpen)
+	outcome := "ok"
 	for i := range items {
+		if r.Context().Err() != nil {
+			outcome = "canceled"
+			break
+		}
 		if i > 0 {
 			_, _ = io.WriteString(w, server.BatchSep)
 		}
@@ -822,7 +755,7 @@ func (c *Coordinator) handleScheduleBatch(w http.ResponseWriter, r *http.Request
 		}
 	}
 	_, _ = io.WriteString(w, server.BatchClose)
-	tr.SetOutcome("ok")
+	tr.SetOutcome(outcome)
 	c.traces.Publish(tr)
 }
 
@@ -844,6 +777,8 @@ func (c *Coordinator) batchElement(ctx context.Context, it *server.BatchItem, lo
 	case fr.resp != nil:
 		outcome = outcomeOf(fr)
 		elem = bytes.TrimSuffix(fr.body, []byte("\n"))
+	case fr.canceled:
+		outcome = "canceled" // nobody reads the element; the fan-out stops
 	case fr.noWorkers:
 		c.metrics.noCapacity.Add(1)
 		outcome = "no-workers"
@@ -926,7 +861,7 @@ func (c *Coordinator) handleCacheFlush(w http.ResponseWriter, r *http.Request) {
 	out := FlushFleetResponse{Epoch: epoch}
 	for _, node := range c.reg.candidates() {
 		res := FlushNodeResult{Node: node.id}
-		resp, body, err := c.forward(r.Context(), node, "/v1/cache/flush", flushBody, c.cfg.scheduleTimeout(), r.Header.Get(obs.RequestIDHeader))
+		resp, body, err := c.forward(r.Context(), node, "/v1/cache/flush", flushBody, c.cfg.ScheduleTimeout, r.Header.Get(obs.RequestIDHeader))
 		switch {
 		case err != nil:
 			res.Error = err.Error()
@@ -1000,7 +935,7 @@ func firstLine(b []byte) string {
 // desired-state reconciliation, specialized to sweep cells).
 func (c *Coordinator) reconcileLoop() {
 	defer close(c.reconcileDone)
-	t := time.NewTicker(c.cfg.reconcileInterval())
+	t := time.NewTicker(c.cfg.ReconcileInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -1008,7 +943,7 @@ func (c *Coordinator) reconcileLoop() {
 			return
 		case <-t.C:
 		}
-		suspected, died := c.reg.sweepHealth(c.cfg.suspectAfter(), c.cfg.deadAfter())
+		suspected, died := c.reg.sweepHealth(c.cfg.SuspectAfter, c.cfg.DeadAfter)
 		for _, id := range suspected {
 			c.log.Warn("node suspected: missed heartbeats", "node", id)
 		}
@@ -1017,8 +952,6 @@ func (c *Coordinator) reconcileLoop() {
 			c.metrics.reconcilePlaced.Add(canceled)
 			c.log.Warn("node dead, re-placing its work", "node", id, "cells_canceled", canceled)
 		}
-		c.reg.expireDead(c.cfg.deadExpiry())
-		// Fold this tick's fleet observation into the scaling advisor.
-		c.adv.tick(c.reg.snapshot(), c.cfg.adviceHysteresis(), c.cfg.adviceP99Micros())
+		c.reg.expireDead(deadExpiry)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -268,7 +270,7 @@ func TestScheduleRoutingAffinityAndSharedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	predicted, ok := place(coord.reg.candidates(), key, nil)
+	predicted, _, _, ok := place(coord.reg.candidates(), key, nil, 0)
 	if !ok {
 		t.Fatal("no placement candidate")
 	}
@@ -331,7 +333,7 @@ func TestScheduleFailoverMidRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, _ := place(coord.reg.candidates(), key, nil)
+	target, _, _, _ := place(coord.reg.candidates(), key, nil, 0)
 	victim := workers[target.id]
 	survivorID := "wA"
 	if target.id == "wA" {
@@ -421,6 +423,154 @@ func TestScheduleAllSaturatedRelays429(t *testing.T) {
 	for _, n := range coord.Nodes() {
 		if n.ID == "busy" && n.State != "ready" {
 			t.Fatalf("saturation marked the node %s", n.State)
+		}
+	}
+}
+
+// TestScheduleClientDisconnectBlamesNoWorker pins the cancel rule: a client
+// that hangs up mid-request cancels the forward, and that cancellation is no
+// verdict on the worker — no node goes suspect, no failure or failover is
+// counted, the in-flight slot is released and the request is observed as
+// canceled. Blaming the node instead would walk the whole ranking, every
+// later forward failing at once under the dead context, until the entire
+// fleet was suspect.
+func TestScheduleClientDisconnectBlamesNoWorker(t *testing.T) {
+	coord, base := startCoordinator(t, slowDetectorConfig())
+	for _, id := range []string{"hangA", "hangB"} {
+		registerFakeWorker(t, base, id, "", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// Drain the body first: net/http only watches for the peer
+			// hanging up once the body is consumed.
+			_, _ = io.Copy(io.Discard, r.Body)
+			<-r.Context().Done()
+		}))
+	}
+	waitForStates(t, coord, map[string]string{"hangA": "ready", "hangB": "ready"})
+
+	const id = "c0ffee0000d15c0a"
+	body := scheduleBody(t, "hangup")
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/schedule", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obs.RequestIDHeader, id)
+	if resp, err := (&http.Client{Timeout: 200 * time.Millisecond}).Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("a fleet that never answers answered %d", resp.StatusCode)
+	}
+	// The handler publishes its trace last: once it is there, the
+	// abandoned request has been fully accounted.
+	deadline := time.Now().Add(5 * time.Second)
+	tr, ok := coord.traces.Get(id)
+	for ; !ok; tr, ok = coord.traces.Get(id) {
+		if time.Now().After(deadline) {
+			t.Fatal("the coordinator never finished the abandoned request")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if tr.Outcome != "canceled" {
+		t.Errorf("abandoned request outcome %q, want canceled", tr.Outcome)
+	}
+	unblamed := func(when string) {
+		t.Helper()
+		for _, n := range coord.Nodes() {
+			if n.State != "ready" || n.Failures != 0 || n.Inflight != 0 {
+				t.Errorf("%s: node %s %s with %d failures, %d in flight; want ready, 0, 0",
+					when, n.ID, n.State, n.Failures, n.Inflight)
+			}
+		}
+		if got := coord.metrics.failovers.Load(); got != 0 {
+			t.Errorf("%s: failovers = %d, want 0", when, got)
+		}
+	}
+	unblamed("after the client hung up")
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `gpcoordd_request_duration_seconds_count{endpoint="schedule",outcome="canceled"} 1`; !strings.Contains(string(text), want) {
+		t.Errorf("metrics missing %q", want)
+	}
+
+	// A caller whose context is already done places nothing at all.
+	key, err := server.ScheduleCacheKey(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	placements := coord.metrics.placements.Load()
+	if fr := coord.scheduleOnFleet(ctx, key, body, "", nil); fr.resp != nil {
+		t.Fatalf("canceled caller was served by %s", fr.node.id)
+	}
+	if got := coord.metrics.placements.Load(); got != placements {
+		t.Errorf("canceled caller made %d placements, want 0", got-placements)
+	}
+	unblamed("after an already-canceled caller")
+}
+
+// TestScheduleInflightDrainsToZero pins the request path's in-flight
+// accounting: however an attempt ends — served, shed with 429, killed
+// mid-request — and whether a singleton or a batch loop made it, the slot
+// it took on its node is released, so every node's gpcoordd_node_inflight
+// is back to 0 once traffic stops.
+func TestScheduleInflightDrainsToZero(t *testing.T) {
+	coord, base := startCoordinator(t, slowDetectorConfig())
+	startWorker(t, base, "wA")
+	wB := startWorker(t, base, "wB")
+	registerFakeWorker(t, base, "busy", "", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+	}))
+	waitForStates(t, coord, map[string]string{"wA": "ready", "wB": "ready", "busy": "ready"})
+
+	ownedBy := func(id string) []byte {
+		t.Helper()
+		for i := 0; i < 256; i++ {
+			b := scheduleBody(t, fmt.Sprintf("drain%s%d", id, i))
+			key, err := server.ScheduleCacheKey(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, _, _, _ := place(coord.reg.candidates(), key, nil, 0); n.id == id {
+				return b
+			}
+		}
+		t.Fatalf("no key HRW-owned by %s in 256 tries", id)
+		return nil
+	}
+	serve := func(what string, body []byte) {
+		t.Helper()
+		if resp, out := postSchedule(t, base, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", what, resp.StatusCode, out)
+		}
+	}
+
+	serve("success", ownedBy("wA"))
+	serve("429 retry", ownedBy("busy"))
+	if coord.metrics.retries.Load() == 0 {
+		t.Fatal("the saturated owner was never tried")
+	}
+	victim := ownedBy("wB")
+	wB.chaos.armKillSchedule(1)
+	serve("transport failover", victim)
+	if coord.metrics.failovers.Load() == 0 {
+		t.Fatal("the kill did not trigger a failover")
+	}
+	if resp, out := postBatch(t, base, batchBody(t, []string{"drainba", "drainbb", "drainbc"}, false)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, out)
+	}
+
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, id := range []string{"wA", "wB", "busy"} {
+		if want := fmt.Sprintf("gpcoordd_node_inflight{node=%q} 0\n", id); !strings.Contains(string(text), want) {
+			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
 	}
 }

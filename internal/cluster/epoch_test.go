@@ -348,7 +348,7 @@ func TestShadowVerifyFlagsPlantedDivergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, ok := place([]candidate{{id: "wA"}, {id: "wB"}, {id: "canary"}}, key, nil); ok && n.id != "canary" {
+		if n, _, _, ok := place([]candidate{{id: "wA"}, {id: "wB"}, {id: "canary"}}, key, nil, 0); ok && n.id != "canary" {
 			body = b
 			break
 		}

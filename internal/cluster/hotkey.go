@@ -300,7 +300,7 @@ func MeasureHotKey(cfg Config, opts HotKeyOptions) (*bench.HotKeySnapshot, error
 	}
 
 	spillCfg := cfg
-	spillCfg.LoadBound = cfg.loadBound() // default 1.25 unless overridden
+	spillCfg.LoadBound = cfg.withDefaults().LoadBound // default 1.25 unless overridden
 	noSpillCfg := cfg
 	noSpillCfg.LoadBound = -1 // pure HRW: the owner takes everything
 
@@ -330,7 +330,7 @@ func MeasureHotKey(cfg Config, opts HotKeyOptions) (*bench.HotKeySnapshot, error
 		ZipfSeed:         opts.seed(),
 		UniqueKeys:       len(bodies),
 		HotKeyShare:      float64(hotCount) / float64(total),
-		LoadBound:        spillCfg.loadBound(),
+		LoadBound:        spillCfg.LoadBound,
 		UniformPerSec:    uniformPerSec,
 		HotNoSpillPerSec: noSpillPerSec,
 		HotSpillPerSec:   spillPerSec,

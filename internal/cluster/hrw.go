@@ -47,40 +47,22 @@ func hrwRank(nodes []candidate, key string) []candidate {
 	return ranked
 }
 
-// place picks the highest-ranked placeable node for key that is not in
-// exclude. The zero candidate and false mean no node qualifies. This is
-// the proxy hot path (once per request and per cell attempt), so it is a
-// single allocation-free argmax scan rather than a full hrwRank sort; the
-// tie-break matches hrwRank's, so place(exclude) always returns the first
-// non-excluded entry of the ranking (tests pin the equivalence).
-// placeBounded is place with a load bound (consistent hashing with bounded
-// loads): the HRW owner serves the key only while its in-flight count stays
-// under ceil(bound·(m+1)/n), where m is the total in-flight across the
-// non-excluded candidates and n their count. An overloaded owner spills to
-// the next node in HRW rank order that is under the bound — so under a
-// Zipf-skewed workload the hot key fans out across the ranking instead of
-// melting its owner, while an idle fleet keeps perfect cache affinity (every
-// node is under the bound, so the owner always wins). bound ≤ 0 disables the
-// check and degenerates to plain place. spilled reports that a node other
-// than the HRW owner was picked. If no candidate is under the bound (bound
-// < 1 can starve everyone) the owner serves anyway: bounded load must never
-// turn a placeable fleet into a 503.
-func placeBounded(nodes []candidate, key string, exclude map[string]bool, bound float64) (picked candidate, spilled, ok bool) {
-	picked, _, _, spilled, ok = placeBoundedOwner(nodes, key, exclude, bound)
-	return picked, spilled, ok
-}
-
-// placeBoundedOwner is placeBounded, additionally reporting the key's HRW
-// owner among the non-excluded candidates and the picked node's rank in the
-// failover order (0 = the owner itself). The decision is identical to
-// placeBounded's; the extra returns exist so callers can attribute a spill —
-// which node shed the key, which absorbed it, how far down the ranking it
-// traveled — in traces and per-node metrics.
-func placeBoundedOwner(nodes []candidate, key string, exclude map[string]bool, bound float64) (picked candidate, owner string, rank int, spilled, ok bool) {
-	if bound <= 0 {
-		picked, ok = place(nodes, key, exclude)
-		return picked, picked.id, 0, false, ok
-	}
+// place is the one placement decision, rendezvous hashing with bounded
+// loads: among the candidates not in exclude, the key's HRW owner serves it
+// while its in-flight count stays under ceil(bound·(m+1)/n), where m is the
+// eligible candidates' total in-flight and n their count. An overloaded
+// owner spills to the next node in HRW rank order that is under the bound,
+// so under a Zipf-skewed workload the hot key fans out across the ranking
+// instead of melting its owner, while an idle fleet keeps perfect cache
+// affinity (every node is under the bound, so the owner always wins). If no
+// candidate is under the bound (bound < 1 can starve everyone) the owner
+// serves anyway: bounded load must never turn a placeable fleet into a 503.
+// bound <= 0 is pure HRW: the owner always serves.
+//
+// It returns the picked node, the key's HRW owner among the eligible
+// candidates and the picked node's rank in the failover order; rank > 0 is
+// a spill. ok is false when every candidate is excluded.
+func place(nodes []candidate, key string, exclude map[string]bool, bound float64) (picked candidate, owner string, rank int, ok bool) {
 	eligible := make([]candidate, 0, len(nodes))
 	var total int64
 	for _, n := range nodes {
@@ -91,30 +73,16 @@ func placeBoundedOwner(nodes []candidate, key string, exclude map[string]bool, b
 		total += n.inflight
 	}
 	if len(eligible) == 0 {
-		return candidate{}, "", 0, false, false
+		return candidate{}, "", 0, false
 	}
-	threshold := int64(math.Ceil(bound * float64(total+1) / float64(len(eligible))))
 	ranked := hrwRank(eligible, key)
-	for i, n := range ranked {
-		if n.inflight+1 <= threshold {
-			return n, ranked[0].id, i, i > 0, true
+	if bound > 0 {
+		threshold := int64(math.Ceil(bound * float64(total+1) / float64(len(ranked))))
+		for i, n := range ranked {
+			if n.inflight+1 <= threshold {
+				return n, ranked[0].id, i, true
+			}
 		}
 	}
-	return ranked[0], ranked[0].id, 0, false, true
-}
-
-func place(nodes []candidate, key string, exclude map[string]bool) (candidate, bool) {
-	var best candidate
-	var bestScore uint64
-	found := false
-	for _, n := range nodes {
-		if exclude[n.id] {
-			continue
-		}
-		s := hrwScore(n.id, key)
-		if !found || s > bestScore || (s == bestScore && n.id < best.id) {
-			best, bestScore, found = n, s, true
-		}
-	}
-	return best, found
+	return ranked[0], ranked[0].id, 0, true
 }

@@ -38,8 +38,8 @@ func TestHRWMinimalDisruption(t *testing.T) {
 	moved, kept := 0, 0
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		before, _ := place(nodes, key, nil)
-		after, _ := place(without, key, nil)
+		before, _, _, _ := place(nodes, key, nil, 0)
+		after, _, _, _ := place(without, key, nil, 0)
 		if before.id == "c" {
 			moved++
 			continue
@@ -58,7 +58,7 @@ func TestHRWSpreadsKeys(t *testing.T) {
 	nodes := mkCandidates("a", "b", "c")
 	counts := map[string]int{}
 	for i := 0; i < 900; i++ {
-		n, ok := place(nodes, fmt.Sprintf("key-%d", i), nil)
+		n, _, _, ok := place(nodes, fmt.Sprintf("key-%d", i), nil, 0)
 		if !ok {
 			t.Fatal("no placement")
 		}
@@ -77,7 +77,7 @@ func TestPlaceExclusionIsFailoverOrder(t *testing.T) {
 	ranked := hrwRank(nodes, "k")
 	exclude := map[string]bool{}
 	for i := range ranked {
-		got, ok := place(nodes, "k", exclude)
+		got, _, _, ok := place(nodes, "k", exclude, 0)
 		if !ok {
 			t.Fatalf("no candidate at step %d", i)
 		}
@@ -86,7 +86,7 @@ func TestPlaceExclusionIsFailoverOrder(t *testing.T) {
 		}
 		exclude[got.id] = true
 	}
-	if _, ok := place(nodes, "k", exclude); ok {
+	if _, _, _, ok := place(nodes, "k", exclude, 0); ok {
 		t.Fatal("placement succeeded with every node excluded")
 	}
 }

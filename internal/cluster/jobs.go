@@ -379,10 +379,10 @@ func (c *Coordinator) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusInternalServerError, server.ErrCodeInternal, "%v", err)
 		return
 	}
-	evicted, ok := c.jobs.insert(j, c.cfg.maxJobs())
+	evicted, ok := c.jobs.insert(j, maxJobs)
 	if !ok {
 		j.cancel()
-		c.writeError(w, http.StatusTooManyRequests, server.ErrCodeJobTableFull, "job table full (%d jobs running)", c.cfg.maxJobs())
+		c.writeError(w, http.StatusTooManyRequests, server.ErrCodeJobTableFull, "job table full (%d jobs running)", maxJobs)
 		return
 	}
 	if evicted != "" {
@@ -470,7 +470,7 @@ func (c *Coordinator) runJob(j *job) {
 	// Release the job context once every cell has landed, so long-lived
 	// coordinators don't accumulate finished jobs' contexts under c.ctx.
 	defer j.cancel()
-	sem := make(chan struct{}, c.cfg.jobWorkers())
+	sem := make(chan struct{}, c.cfg.JobWorkers)
 	var wg sync.WaitGroup
 	for _, cell := range j.cells {
 		j.mu.Lock()
@@ -545,7 +545,7 @@ func (c *Coordinator) runJob(j *job) {
 // target the load bound had moved it to — instead of recomputing the
 // placement from scratch.
 func (c *Coordinator) runCell(j *job, cl *jobCell) {
-	pl := c.newPlacement(cl.key, true)
+	pl := c.newPlacement(cl.key)
 	defer pl.drop()
 	for {
 		if j.ctx.Err() != nil {
@@ -555,7 +555,7 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 		j.mu.Lock()
 		attempts, exclude, pin := cl.attempts, cloneSet(cl.exclude), j.algoVersion
 		j.mu.Unlock()
-		if attempts >= c.cfg.maxCellAttempts() {
+		if attempts >= c.cfg.MaxCellAttempts {
 			c.finishCell(j, cl, nil, fmt.Sprintf("gave up after %d attempts", attempts))
 			return
 		}
@@ -580,7 +580,8 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 		// resumed cells land where their work (and cache residency) is.
 		var node candidate
 		var owner string
-		var spilled, ok bool
+		var rank int
+		var ok bool
 		if hint := c.placementHint(cl.key); hint != "" && !exclude[hint] {
 			for _, cand := range cands {
 				if cand.id == hint {
@@ -590,7 +591,7 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 			}
 		}
 		if !ok {
-			node, owner, _, spilled, ok = placeBoundedOwner(cands, cl.key, exclude, c.cfg.loadBound())
+			node, owner, rank, ok = place(cands, cl.key, exclude, c.cfg.LoadBound)
 		}
 		if !ok {
 			if len(exclude) > 0 {
@@ -604,7 +605,7 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 			// registrations instead of failing.
 			select {
 			case <-j.ctx.Done():
-			case <-time.After(c.cfg.reconcileInterval()):
+			case <-time.After(c.cfg.ReconcileInterval):
 			}
 			continue
 		}
@@ -640,13 +641,8 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 		cl.attempts++
 		cl.cancel = cancel
 		j.mu.Unlock()
-		c.metrics.placements.Add(1)
-		c.reg.countRequest(node.id)
-		pl.prepare(node, spilled)
-		if spilled {
-			c.reg.countSpill(owner, node.id)
-			c.metrics.noteSpill(cl.key)
-		}
+		c.bind(node, owner, rank, cl.key)
+		pl.prepare(node, rank > 0)
 
 		// Every cell attempt forwards under one deterministic request ID
 		// (<job>.cell<index>), so the worker's sweep trace for this cell is
@@ -654,8 +650,9 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 		// retried attempts republish under it, newest winning, exactly like
 		// singleton failover.
 		cellID := fmt.Sprintf("%s.cell%d", j.id, cl.index)
-		resp, out, err := c.forward(attemptCtx, node, "/v1/sweep", cl.reqBody, c.cfg.cellTimeout(), cellID)
+		resp, out, err := c.forward(attemptCtx, node, "/v1/sweep", cl.reqBody, c.cfg.CellTimeout, cellID)
 		cancel()
+		c.reg.decInflight(node.id)
 		j.mu.Lock()
 		cl.cancel = nil
 		j.mu.Unlock()
@@ -710,7 +707,7 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 			j.mu.Unlock()
 			select {
 			case <-j.ctx.Done():
-			case <-time.After(c.cfg.reconcileInterval()):
+			case <-time.After(c.cfg.ReconcileInterval):
 			}
 		case resp.StatusCode >= 500:
 			c.reg.reportFailure(node.id)

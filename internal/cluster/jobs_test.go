@@ -47,7 +47,7 @@ func jobMachines(t *testing.T, coord *Coordinator, maxLoops int) []machine.Confi
 			owners := map[string]bool{}
 			for _, m := range []*machine.Config{pool[i], pool[j]} {
 				for _, corpus := range []string{"SPECfp95", "DSP"} {
-					n, ok := place(cands, cellKey(m, corpus, maxLoops, false), nil)
+					n, _, _, ok := place(cands, cellKey(m, corpus, maxLoops, false), nil, 0)
 					if !ok {
 						t.Fatal("no placement candidates")
 					}

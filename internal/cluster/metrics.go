@@ -95,16 +95,10 @@ func (m *metrics) observe(endpoint, outcome string, d time.Duration) {
 	m.durations.With(fmt.Sprintf("endpoint=%q,outcome=%q", endpoint, outcome)).Observe(d)
 }
 
-// noteSpill feeds the per-key-class spill counter.
-func (m *metrics) noteSpill(key string) {
-	m.spillClasses.Add(keyClass(key))
-}
-
 // coordGauges is the lint allowlist for gpcoordd metric names that are
 // neither counters nor histogram series. The metrics test and the smoke
 // observability phase check /metrics against it.
 var coordGauges = map[string]bool{
-	"gpcoordd_fleet_advice":            true,
 	"gpcoordd_jobs_running":            true,
 	"gpcoordd_fleet_epoch":             true,
 	"gpcoordd_recovery_nodes_adopted":  true,
@@ -123,7 +117,7 @@ var coordGauges = map[string]bool{
 // format, including one health gauge (0 ready / 1 suspect / 2 dead) and the
 // routed/failed counters per registered node, plus the store's write and
 // replay traffic.
-func (m *metrics) render(w io.Writer, nodes []NodeInfo, jobsRunning int, epoch uint64, st store.Stats, advice FleetAdvice) {
+func (m *metrics) render(w io.Writer, nodes []NodeInfo, jobsRunning int, epoch uint64, st store.Stats) {
 	fmt.Fprintf(w, "gpcoordd_requests_total %d\n", m.requests.Load())
 	fmt.Fprintf(w, "gpcoordd_schedule_requests_total %d\n", m.scheduleReqs.Load())
 	fmt.Fprintf(w, "gpcoordd_batch_requests_total %d\n", m.batchReqs.Load())
@@ -148,7 +142,6 @@ func (m *metrics) render(w io.Writer, nodes []NodeInfo, jobsRunning int, epoch u
 	}
 	fmt.Fprintf(w, "gpcoordd_schema_refusals_total %d\n", m.schemaRefusals.Load())
 	fmt.Fprintf(w, "gpcoordd_drain_flips_total %d\n", m.drainFlips.Load())
-	fmt.Fprintf(w, "gpcoordd_fleet_advice %d\n", adviceValue(advice.Advice))
 	fmt.Fprintf(w, "gpcoordd_retries_total %d\n", m.retries.Load())
 	fmt.Fprintf(w, "gpcoordd_failovers_total %d\n", m.failovers.Load())
 	fmt.Fprintf(w, "gpcoordd_no_capacity_total %d\n", m.noCapacity.Load())

@@ -148,7 +148,7 @@ func TestRequestIDSurvivesFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	predicted, ok := place(coord.reg.candidates(), key, nil)
+	predicted, _, _, ok := place(coord.reg.candidates(), key, nil, 0)
 	if !ok {
 		t.Fatal("no placement candidate")
 	}
@@ -323,12 +323,12 @@ func TestSpillAttribution(t *testing.T) {
 
 	// Hold one in-flight slot on the owner so a concurrent identical request
 	// crosses the bound and spills deterministically.
-	owner, ok := place(coord.reg.candidates(), key, nil)
+	owner, _, _, ok := place(coord.reg.candidates(), key, nil, 0)
 	if !ok {
 		t.Fatal("no owner")
 	}
-	coord.reg.incInflight(owner.id)
-	coord.reg.incInflight(owner.id)
+	coord.reg.countPlacement(owner.id, owner.id, false)
+	coord.reg.countPlacement(owner.id, owner.id, false)
 	defer coord.reg.decInflight(owner.id)
 	defer coord.reg.decInflight(owner.id)
 
@@ -349,6 +349,7 @@ func TestSpillAttribution(t *testing.T) {
 	text := string(mb)
 	wantClass := fmt.Sprintf("gpcoordd_spills_total{key_class=%q}", keyClass(key))
 	for _, want := range []string{
+		"gpcoordd_spills_total 1\n", // the unlabeled total perfledger reads
 		wantClass,
 		fmt.Sprintf("gpcoordd_node_spill_out_total{node=%q} 1", owner.id),
 	} {

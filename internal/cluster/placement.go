@@ -7,9 +7,8 @@ import (
 	"repro/internal/store"
 )
 
-// The explicit placement protocol. Every unit of routed work — a proxied
-// /v1/schedule request, a batch loop, a sweep cell — is a placement that
-// walks one state machine:
+// The explicit placement protocol. Every sweep-cell attempt is a placement
+// that walks one state machine:
 //
 //	Pending ──► Preparing ──► Ready ──► Dropped
 //	   ▲            │           │
@@ -21,17 +20,15 @@ import (
 // bounded-load HRW) and the work is in flight. Ready: the node answered and
 // owns the key's cache residency. Draining: the node is being retired by an
 // operator and the key will re-place. Dropped: retired. The two abort edges
-// are Preparing→Pending (the chosen node failed; the placement re-enters
-// placement with the node excluded) and Draining→Ready (the drain was
-// canceled).
+// are Preparing→Pending (the chosen node failed; the cell re-places with
+// the node excluded) and Draining→Ready (the drain was canceled).
 //
-// Schedule-request placements are transient: they walk the machine for the
-// metrics and the in-flight accounting, then drop when the response is
-// relayed. Sweep-cell placements are durable: each transition writes the
-// placement record through the store, so a restarted coordinator knows
-// which node each in-flight cell was on — including a spill target — and
-// re-places it there first instead of bouncing it back to an owner the
-// bound had rejected.
+// Each transition writes the placement record through the store, so a
+// restarted coordinator knows which node each in-flight cell was on —
+// including a spill target — and re-places it there first instead of
+// bouncing it back to an owner the bound had rejected. Proxied schedule
+// requests are transient and stay outside the protocol: they only count
+// their in-flight work (Coordinator.bind).
 
 // placementState is a placement's position in the protocol.
 type placementState int
@@ -76,23 +73,21 @@ func validPlaceEdge(from, to placementState) bool {
 	return false
 }
 
-// placement is one unit of work walking the protocol. Not safe for
-// concurrent use: each belongs to the one goroutine driving its request or
-// cell attempt (the durable table has its own lock).
+// placement is one sweep cell walking the protocol. Not safe for
+// concurrent use: each belongs to the one goroutine driving its cell (the
+// placement table has its own lock).
 type placement struct {
-	c       *Coordinator
-	key     string
-	durable bool // write transitions through the store (sweep cells)
+	c   *Coordinator
+	key string
 
 	state   placementState
 	node    candidate
 	spilled bool
-	exclude map[string]bool
 }
 
-// newPlacement admits a key into the protocol at Pending.
-func (c *Coordinator) newPlacement(key string, durable bool) *placement {
-	return &placement{c: c, key: key, durable: durable, state: placePending, exclude: make(map[string]bool)}
+// newPlacement admits a cell key into the protocol at Pending.
+func (c *Coordinator) newPlacement(key string) *placement {
+	return &placement{c: c, key: key, state: placePending}
 }
 
 // transition moves the placement along one edge, counting it in the
@@ -109,63 +104,35 @@ func (p *placement) transition(to placementState) {
 	p.state = to
 }
 
-// prepare binds the placement to a node (Pending→Preparing) and starts the
-// coordinator-side in-flight accounting bounded-load placement spills on.
+// prepare binds the placement to a node (Pending→Preparing).
 func (p *placement) prepare(node candidate, spilled bool) {
 	p.node = node
 	p.spilled = spilled
-	if spilled {
-		p.c.metrics.spills.Add(1)
-	}
 	p.transition(placePreparing)
-	p.c.reg.incInflight(node.id)
-	if p.durable {
-		p.c.putPlacement(store.PlacementRecord{Key: p.key, Node: node.id, State: placePreparing.String(), Spilled: spilled})
-	}
+	p.c.putPlacement(store.PlacementRecord{Key: p.key, Node: node.id, State: placePreparing.String(), Spilled: spilled})
 }
 
-// abort walks the Preparing→Pending edge after the chosen node failed,
-// excluding it from the next placement round.
+// abort walks the Preparing→Pending edge after the chosen node failed.
 func (p *placement) abort() {
-	p.c.reg.decInflight(p.node.id)
-	p.exclude[p.node.id] = true
 	p.transition(placePending)
-	if p.durable {
-		p.c.delPlacement(p.key)
-	}
+	p.c.delPlacement(p.key)
 }
 
 // ready marks the node's answer landed (Preparing→Ready).
 func (p *placement) ready() {
-	p.c.reg.decInflight(p.node.id)
 	p.transition(placeReady)
-	if p.durable {
-		p.c.putPlacement(store.PlacementRecord{Key: p.key, Node: p.node.id, State: placeReady.String(), Spilled: p.spilled})
-	}
+	p.c.putPlacement(store.PlacementRecord{Key: p.key, Node: p.node.id, State: placeReady.String(), Spilled: p.spilled})
 }
 
-// drop retires the placement from whatever state it reached. In-flight
-// accounting is released only by ready/abort, so drop from Preparing (a
-// canceled job) must release it too.
+// drop retires the placement from whatever state it reached.
 func (p *placement) drop() {
-	if p.state == placePreparing {
-		p.c.reg.decInflight(p.node.id)
-	}
 	if p.state != placeDropped {
 		p.transition(placeDropped)
 	}
-	if p.durable {
-		p.c.delPlacement(p.key)
-	}
+	p.c.delPlacement(p.key)
 }
 
-// resetExclusions starts the placement's exclusion list over (the fleet may
-// have churned entirely since the excluded attempts).
-func (p *placement) resetExclusions() {
-	p.exclude = make(map[string]bool)
-}
-
-// placementTable is the coordinator's live view of the durable placements,
+// placementTable is the coordinator's live view of the cell placements,
 // mirroring the store. Recovery seeds it from the journal; the job layer
 // consults it as affinity hints so resumed cells re-land where they were —
 // including on a spill target the bound had moved them to.
@@ -174,7 +141,7 @@ type placementTable struct {
 	byKey map[string]store.PlacementRecord
 }
 
-// putPlacement records a durable placement in the live table and the store.
+// putPlacement records a cell placement in the live table and the store.
 func (c *Coordinator) putPlacement(rec store.PlacementRecord) {
 	c.placements.mu.Lock()
 	if c.placements.byKey == nil {
@@ -187,7 +154,7 @@ func (c *Coordinator) putPlacement(rec store.PlacementRecord) {
 	}
 }
 
-// delPlacement retires a durable placement from the live table and store.
+// delPlacement retires a cell placement from the live table and store.
 func (c *Coordinator) delPlacement(key string) {
 	c.placements.mu.Lock()
 	delete(c.placements.byKey, key)
@@ -197,7 +164,7 @@ func (c *Coordinator) delPlacement(key string) {
 	}
 }
 
-// placementHint returns the node a durable placement was last bound to, or
+// placementHint returns the node a cell placement was last bound to, or
 // "" when there is none — or when the record is draining (a draining
 // placement must re-place elsewhere, so its old node is an anti-hint).
 func (c *Coordinator) placementHint(key string) string {
@@ -210,7 +177,7 @@ func (c *Coordinator) placementHint(key string) string {
 	return rec.Node
 }
 
-// drainPlacements walks every durable placement on a node across the
+// drainPlacements walks every cell placement on a node across the
 // Ready→Draining edge (or back, Draining→Ready, when the drain is
 // canceled), persisting each flip. In-flight (Preparing) placements keep
 // running — a draining node finishes what it has, like a suspect one.

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"testing"
-	"time"
 
 	"repro/internal/server"
 )
@@ -30,57 +29,49 @@ func TestPlaceBoundedSpillOrder(t *testing.T) {
 		}
 		return out
 	}
+	check := func(what string, nodes []candidate, exclude map[string]bool, bound float64, wantNode, wantOwner string, wantRank int) {
+		t.Helper()
+		got, gotOwner, rank, ok := place(nodes, key, exclude, bound)
+		if !ok || got.id != wantNode || gotOwner != wantOwner || rank != wantRank {
+			t.Fatalf("%s: got %q owner %q rank %d ok=%v, want %q owner %q rank %d",
+				what, got.id, gotOwner, rank, ok, wantNode, wantOwner, wantRank)
+		}
+	}
 
 	// Idle fleet: perfect cache affinity, the owner always wins.
-	got, spilled, ok := placeBounded(base, key, nil, 1.25)
-	if !ok || spilled || got.id != owner.id {
-		t.Fatalf("idle fleet: got %q spilled=%v ok=%v, want owner %q", got.id, spilled, ok, owner.id)
-	}
+	check("idle fleet", base, nil, 1.25, owner.id, owner.id, 0)
 
 	// Overloaded owner: 8 in flight against an otherwise idle 3-node fleet
 	// puts the owner past ceil(1.25·9/3)=4, so the key spills to exactly
 	// the next node in HRW rank order.
-	got, spilled, ok = placeBounded(withLoad(map[string]int64{owner.id: 8}), key, nil, 1.25)
-	if !ok || !spilled || got.id != second.id {
-		t.Fatalf("overloaded owner: got %q spilled=%v ok=%v, want spill to %q", got.id, spilled, ok, second.id)
-	}
+	check("overloaded owner", withLoad(map[string]int64{owner.id: 8}), nil, 1.25, second.id, owner.id, 1)
 
 	// Both the owner and the next-ranked node overloaded: the spill walks
 	// one more rank down.
-	got, spilled, ok = placeBounded(withLoad(map[string]int64{owner.id: 8, second.id: 8}), key, nil, 1.25)
-	if !ok || !spilled || got.id != third.id {
-		t.Fatalf("two overloaded: got %q spilled=%v ok=%v, want spill to %q", got.id, spilled, ok, third.id)
-	}
+	check("two overloaded", withLoad(map[string]int64{owner.id: 8, second.id: 8}), nil, 1.25, third.id, owner.id, 2)
 
 	// Nobody under the bound (a sub-1 bound with uniform load starves every
 	// node): the owner serves anyway instead of failing the request.
-	got, spilled, ok = placeBounded(withLoad(map[string]int64{owner.id: 5, second.id: 5, third.id: 5}), key, nil, 0.5)
-	if !ok || spilled || got.id != owner.id {
-		t.Fatalf("all over bound: got %q spilled=%v ok=%v, want owner %q fallback", got.id, spilled, ok, owner.id)
-	}
+	check("all over bound", withLoad(map[string]int64{owner.id: 5, second.id: 5, third.id: 5}), nil, 0.5, owner.id, owner.id, 0)
 
 	// Exclusion composes: with the owner excluded the next-ranked node is
 	// the de-facto owner, not a spill.
-	got, spilled, ok = placeBounded(base, key, map[string]bool{owner.id: true}, 1.25)
-	if !ok || spilled || got.id != second.id {
-		t.Fatalf("owner excluded: got %q spilled=%v ok=%v, want %q", got.id, spilled, ok, second.id)
-	}
+	check("owner excluded", base, map[string]bool{owner.id: true}, 1.25, second.id, second.id, 0)
 
-	// bound <= 0 degenerates to plain HRW place().
-	want, wantOK := place(base, key, map[string]bool{owner.id: true})
-	got, spilled, ok = placeBounded(base, key, map[string]bool{owner.id: true}, 0)
-	if ok != wantOK || spilled || got.id != want.id {
-		t.Fatalf("bound 0: got %q spilled=%v ok=%v, want place() result %q", got.id, spilled, ok, want.id)
-	}
+	// bound <= 0 is pure HRW: an overloaded owner still serves.
+	check("bound 0", withLoad(map[string]int64{owner.id: 8}), nil, 0, owner.id, owner.id, 0)
+	check("bound -1", withLoad(map[string]int64{owner.id: 8}), map[string]bool{owner.id: true}, -1, second.id, second.id, 0)
 
 	// Empty eligible set: not placeable.
-	if _, _, ok = placeBounded(nil, key, nil, 1.25); ok {
-		t.Fatal("no candidates: placeBounded reported ok")
+	if _, _, _, ok := place(nil, key, nil, 1.25); ok {
+		t.Fatal("no candidates: place reported ok")
 	}
 }
 
-// The placement protocol's transition table: legal edges are counted,
-// illegal ones are refused, counted, and leave the state untouched.
+// The placement protocol's transition table, driven the way runCell drives
+// a sweep cell: legal edges are counted and journaled as the cell's
+// placement record (the affinity hint a restarted coordinator re-lands it
+// by), illegal ones are refused, counted, and leave the state untouched.
 func TestPlacementProtocolTransitions(t *testing.T) {
 	coord, err := New(testConfig())
 	if err != nil {
@@ -88,29 +79,26 @@ func TestPlacementProtocolTransitions(t *testing.T) {
 	}
 	defer coord.Close()
 
-	pl := coord.newPlacement("proto-key", false)
+	pl := coord.newPlacement("proto-key")
 	if pl.state != placePending {
 		t.Fatalf("new placement state %v, want pending", pl.state)
 	}
 	pl.prepare(candidate{id: "ghost"}, true)
-	if pl.state != placePreparing {
-		t.Fatalf("after prepare: %v", pl.state)
-	}
-	if got := coord.metrics.spills.Load(); got != 1 {
-		t.Fatalf("spills = %d, want 1", got)
+	if pl.state != placePreparing || coord.placementHint("proto-key") != "ghost" {
+		t.Fatalf("after prepare: %v, hint %q", pl.state, coord.placementHint("proto-key"))
 	}
 	pl.abort()
-	if pl.state != placePending || !pl.exclude["ghost"] {
-		t.Fatalf("after abort: state %v exclude %v", pl.state, pl.exclude)
+	if pl.state != placePending || coord.placementHint("proto-key") != "" {
+		t.Fatalf("after abort: %v, hint %q", pl.state, coord.placementHint("proto-key"))
 	}
 	pl.prepare(candidate{id: "ghost2"}, false)
 	pl.ready()
-	if pl.state != placeReady {
-		t.Fatalf("after ready: %v", pl.state)
+	if pl.state != placeReady || coord.placementHint("proto-key") != "ghost2" {
+		t.Fatalf("after ready: %v, hint %q", pl.state, coord.placementHint("proto-key"))
 	}
 	pl.drop()
-	if pl.state != placeDropped {
-		t.Fatalf("after drop: %v", pl.state)
+	if pl.state != placeDropped || coord.placementHint("proto-key") != "" {
+		t.Fatalf("after drop: %v, hint %q", pl.state, coord.placementHint("proto-key"))
 	}
 	for _, tc := range []struct {
 		from, to placementState
@@ -127,7 +115,7 @@ func TestPlacementProtocolTransitions(t *testing.T) {
 	}
 
 	// Illegal edge: Pending→Ready is not in the protocol.
-	bad := coord.newPlacement("bad-key", false)
+	bad := coord.newPlacement("bad-key")
 	bad.transition(placeReady)
 	if bad.state != placePending {
 		t.Fatalf("illegal transition changed state to %v", bad.state)
@@ -137,36 +125,28 @@ func TestPlacementProtocolTransitions(t *testing.T) {
 	}
 }
 
-// The /v1/fleet API group: /v1/fleet/nodes supersedes /v1/nodes (same
-// listing, old path still answering), the listing carries the load and
-// schema fields, and /v1/fleet/advice returns a well-formed verdict.
-func TestFleetNodesAndAdvice(t *testing.T) {
+// The /v1/fleet node listing carries the health, load and schema fields.
+func TestFleetNodes(t *testing.T) {
 	coord, base := startCoordinator(t, testConfig())
 	startWorker(t, base, "wA")
 	startWorker(t, base, "wB")
 	waitForStates(t, coord, map[string]string{"wA": "ready", "wB": "ready"})
 
-	getJSON := func(path string, into any) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d %s", path, resp.StatusCode, body)
-		}
-		if err := json.Unmarshal(body, into); err != nil {
-			t.Fatalf("GET %s: %v\n%s", path, err, body)
-		}
+	resp, err := http.Get(base + "/v1/fleet/nodes")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	var fleet, legacy []map[string]any
-	getJSON("/v1/fleet/nodes", &fleet)
-	getJSON("/v1/nodes", &legacy)
-	if len(fleet) != 2 || len(legacy) != 2 {
-		t.Fatalf("fleet=%d legacy=%d nodes, want 2 each", len(fleet), len(legacy))
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/fleet/nodes: %d %s", resp.StatusCode, body)
+	}
+	var fleet []map[string]any
+	if err := json.Unmarshal(body, &fleet); err != nil {
+		t.Fatalf("GET /v1/fleet/nodes: %v\n%s", err, body)
+	}
+	if len(fleet) != 2 {
+		t.Fatalf("fleet=%d nodes, want 2", len(fleet))
 	}
 	for _, n := range fleet {
 		if n["state"] != "ready" {
@@ -177,29 +157,6 @@ func TestFleetNodesAndAdvice(t *testing.T) {
 				t.Fatalf("fleet listing missing %q: %v", field, n)
 			}
 		}
-	}
-
-	// The advisor ticks with the reconcile loop; poll until it has seen
-	// the full fleet.
-	var adv FleetAdvice
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		getJSON("/v1/fleet/advice", &adv)
-		if adv.ReadyNodes == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("advice never saw 2 ready nodes: %+v", adv)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	switch adv.Advice {
-	case "hold", "scale_up", "scale_down":
-	default:
-		t.Fatalf("advice verdict %q not in the vocabulary", adv.Advice)
-	}
-	if adv.Reason == "" {
-		t.Fatalf("advice carries no reason: %+v", adv)
 	}
 }
 
@@ -275,7 +232,7 @@ func TestDrainUndrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cand, ok := place(coord.reg.candidates(), key, nil); ok && cand.id == "wA" {
+		if cand, _, _, ok := place(coord.reg.candidates(), key, nil, 0); ok && cand.id == "wA" {
 			ownedByA = b
 		}
 	}
@@ -388,7 +345,7 @@ func TestScheduleSpillFailoverByteIdentical(t *testing.T) {
 	// Overload the owner: 8 phantom in-flight requests push it past
 	// ceil(1.25·9/3)=4, so the same key must spill to the next HRW rank.
 	for i := 0; i < 8; i++ {
-		coord.reg.incInflight(owner.id)
+		coord.reg.countPlacement(owner.id, owner.id, false)
 	}
 	resp2, out2 := postSchedule(t, base, body)
 	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Node") != second.id {

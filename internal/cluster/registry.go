@@ -95,7 +95,7 @@ type node struct {
 }
 
 // NodeInfo is a point-in-time snapshot of one node, the JSON shape of
-// GET /v1/nodes.
+// GET /v1/fleet/nodes.
 type NodeInfo struct {
 	ID            string `json:"id"`
 	Endpoint      string `json:"endpoint"`
@@ -283,18 +283,9 @@ func (r *registry) absorbLoad(id string, inflight, shed int64, p99Micros float64
 	n.repP99.Store(math.Float64bits(p99Micros))
 }
 
-// incInflight/decInflight maintain the coordinator-side outstanding-work
-// count bounded-load placement spills on. Atomic so the proxy hot path
-// never takes the registry lock twice per request.
-func (r *registry) incInflight(id string) {
-	r.mu.Lock()
-	n, ok := r.nodes[id]
-	r.mu.Unlock()
-	if ok {
-		n.inflight.Add(1)
-	}
-}
-
+// decInflight releases the in-flight slot countPlacement took, once the
+// node has answered or failed: the coordinator-side outstanding-work count
+// bounded-load placement spills on.
 func (r *registry) decInflight(id string) {
 	r.mu.Lock()
 	n, ok := r.nodes[id]
@@ -324,18 +315,6 @@ func (r *registry) setDraining(id string, draining bool) bool {
 		r.storeErr("put_node", err)
 	}
 	return true
-}
-
-// shedTotal sums the workers' reported 429 counts — the fleet-wide shed
-// signal the scaling advisor watches.
-func (r *registry) shedTotal() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var total int64
-	for _, n := range r.nodes {
-		total += n.repShed.Load()
-	}
-	return total
 }
 
 // deregister removes a node entirely (graceful worker shutdown). The
@@ -402,8 +381,8 @@ func (r *registry) sweepHealth(suspectAfter, deadAfter time.Duration) (suspected
 // expireDead garbage-collects nodes that have been silent longer than
 // expiry. Without this, crashed workers with churned IDs (the default ID is
 // the advertised host:port, often an ephemeral port) would accumulate as
-// dead entries forever, growing /v1/nodes, the per-node metric series and
-// every health sweep without bound.
+// dead entries forever, growing /v1/fleet/nodes, the per-node metric series
+// and every health sweep without bound.
 func (r *registry) expireDead(expiry time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -514,8 +493,8 @@ func (r *registry) markSuspect(id string) {
 }
 
 // setNodeEpoch records the epoch a node confirmed during a flush fan-out,
-// so /v1/nodes reflects convergence immediately instead of one heartbeat
-// later.
+// so /v1/fleet/nodes reflects convergence immediately instead of one
+// heartbeat later.
 func (r *registry) setNodeEpoch(id string, epoch uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -524,34 +503,29 @@ func (r *registry) setNodeEpoch(id string, epoch uint64) {
 	}
 }
 
-// countSpill attributes one bounded-load spill: the key's HRW owner shed it
-// (spill-out), the picked node absorbed it (spill-in). Atomic counters, same
-// discipline as the request/failure tallies.
-func (r *registry) countSpill(ownerID, pickedID string) {
+// countPlacement accounts one placement on node id: its routed request,
+// one in-flight slot (released by decInflight) and — for a bounded-load
+// spill — the spill-in it absorbed and the spill-out of the key's HRW
+// owner. One lock for the lookups; the counters themselves are atomic.
+func (r *registry) countPlacement(id, ownerID string, spilled bool) {
 	r.mu.Lock()
-	owner, okOwner := r.nodes[ownerID]
-	picked, okPicked := r.nodes[pickedID]
+	n := r.nodes[id]
+	owner := r.nodes[ownerID]
 	r.mu.Unlock()
-	if okOwner {
+	if n != nil {
+		n.requests.Add(1)
+		n.inflight.Add(1)
+		if spilled {
+			n.spillIn.Add(1)
+		}
+	}
+	if spilled && owner != nil {
 		owner.spillOut.Add(1)
 	}
-	if okPicked {
-		picked.spillIn.Add(1)
-	}
 }
 
-// countRequest bumps a node's routed-request counter.
-func (r *registry) countRequest(id string) {
-	r.mu.Lock()
-	n, ok := r.nodes[id]
-	r.mu.Unlock()
-	if ok {
-		n.requests.Add(1)
-	}
-}
-
-// snapshot returns every node sorted by ID (the /v1/nodes and /metrics
-// view).
+// snapshot returns every node sorted by ID (the /v1/fleet/nodes and
+// /metrics view).
 func (r *registry) snapshot() []NodeInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()

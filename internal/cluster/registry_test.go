@@ -222,8 +222,8 @@ func TestSnapshotSortedAndCounted(t *testing.T) {
 	r, _ := newTestRegistry()
 	r.register("b", "http://b", 2, "", 0)
 	r.register("a", "http://a", 4, "", 0)
-	r.countRequest("b")
-	r.countRequest("b")
+	r.countPlacement("b", "b", false)
+	r.countPlacement("b", "b", false)
 	snap := r.snapshot()
 	if len(snap) != 2 || snap[0].ID != "a" || snap[1].ID != "b" {
 		t.Fatalf("snapshot order: %+v", snap)

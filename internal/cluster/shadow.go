@@ -79,7 +79,8 @@ func (s *shadowVerifier) pick(primary candidate, key string) (candidate, bool) {
 		}
 		return candidate{}, false
 	}
-	return place(cands, key, map[string]bool{primary.id: true})
+	shadow, _, _, ok := place(cands, key, map[string]bool{primary.id: true}, 0)
+	return shadow, ok
 }
 
 // replay posts the request to the shadow worker and compares its bytes to
@@ -87,7 +88,7 @@ func (s *shadowVerifier) pick(primary candidate, key string) (candidate, bool) {
 // own (not the original request's — the client is long gone), so Close
 // aborts in-flight replays.
 func (s *shadowVerifier) replay(primary, shadow candidate, reqBody, served []byte) {
-	resp, body, err := s.c.forward(s.c.ctx, shadow, "/v1/schedule", reqBody, s.c.cfg.scheduleTimeout(), "")
+	resp, body, err := s.c.forward(s.c.ctx, shadow, "/v1/schedule", reqBody, s.c.cfg.ScheduleTimeout, "")
 	match := false
 	switch {
 	case err != nil || resp.StatusCode != http.StatusOK:

@@ -66,8 +66,7 @@ type HeartbeatRequest struct {
 	SchemaVersion string `json:"schema_version,omitempty"`
 	Epoch         uint64 `json:"epoch,omitempty"`
 	// Load, when present, reports the worker's live load signals; the
-	// coordinator surfaces them on GET /v1/fleet/nodes and feeds them into
-	// the /v1/fleet/advice verdict.
+	// coordinator surfaces them on GET /v1/fleet/nodes.
 	Load *LoadReport `json:"load,omitempty"`
 }
 

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/ddgio"
@@ -296,7 +295,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(poolErr, ErrSaturated):
 		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.retryAfter().Round(time.Second)/time.Second)))
+		w.Header().Set("Retry-After", retryAfter)
 		s.writeError(w, http.StatusTooManyRequests, ErrCodeSaturated, "scheduling queue is full, retry later")
 		outcome = "shed"
 	case errors.Is(poolErr, ErrClosed):

@@ -32,10 +32,6 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries is the LRU result-cache capacity (default 1024).
 	CacheEntries int
-	// MaxBodyBytes caps a request body (default 8 MiB).
-	MaxBodyBytes int64
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// NodeID, when set, is stamped on every response as the X-Node header
 	// so a cluster coordinator (and its clients) can observe which worker
 	// actually served a proxied request.
@@ -78,19 +74,13 @@ func (c Config) cacheEntries() int {
 	return 1024
 }
 
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes > 0 {
-		return c.MaxBodyBytes
-	}
-	return 8 << 20
-}
+// MaxBodyBytes caps a request body on both daemons: gpserved reads at
+// most this much, and the gpcoordd edge, which relays bodies to it, applies
+// the same cap.
+const MaxBodyBytes = 8 << 20
 
-func (c Config) retryAfter() time.Duration {
-	if c.RetryAfter > 0 {
-		return c.RetryAfter
-	}
-	return time.Second
-}
+// retryAfter is the Retry-After hint (seconds) on every 429 response.
+const retryAfter = "1"
 
 // algoVersion is the complete algorithm identity this daemon advertises:
 // the base version plus a suffix for every output-affecting option, so
@@ -200,8 +190,8 @@ func (s *Server) AlgoVersion() string { return s.algo }
 
 // Load returns the daemon's live load signals: requests currently in
 // flight, the cumulative shed (429) count, and the rolling p99 latency.
-// The agent reports them to the coordinator on every heartbeat, feeding
-// the /v1/fleet/advice scaling verdict.
+// The agent reports them to the coordinator on every heartbeat, which
+// shows them on GET /v1/fleet/nodes.
 func (s *Server) Load() LoadReport {
 	_, p99 := s.metrics.quantiles()
 	return LoadReport{
@@ -275,7 +265,7 @@ func (s *Server) finishTrace(w http.ResponseWriter, tr *obs.Trace, outcome strin
 // readBody reads at most MaxBodyBytes of the request body.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -295,7 +285,7 @@ func (s *Server) readBodyPooled(w http.ResponseWriter, r *http.Request) ([]byte,
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	release := func() { bodyPool.Put(buf) }
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
 		release()
 		return nil, nil, err
 	}
@@ -437,7 +427,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrSaturated):
 		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.retryAfter().Round(time.Second)/time.Second)))
+		w.Header().Set("Retry-After", retryAfter)
 		s.finishTrace(w, tr, "shed")
 		s.writeError(w, http.StatusTooManyRequests, ErrCodeSaturated, "scheduling queue is full, retry later")
 		return
@@ -616,7 +606,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(poolErr, ErrSaturated):
 		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.retryAfter().Round(time.Second)/time.Second)))
+		w.Header().Set("Retry-After", retryAfter)
 		s.writeError(w, http.StatusTooManyRequests, ErrCodeSaturated, "scheduling queue is full, retry later")
 		outcome = "shed"
 	case errors.Is(poolErr, ErrClosed):

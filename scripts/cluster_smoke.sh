@@ -74,11 +74,11 @@ pids+=($!)
 wb_pid=$!
 
 for i in $(seq 1 200); do
-    ready="$(curl -sf "$coord/v1/nodes" | grep -c '"state": "ready"' || true)"
+    ready="$(curl -sf "$coord/v1/fleet/nodes" | grep -c '"state": "ready"' || true)"
     [ "$ready" = 2 ] && break
     if [ "$i" = 200 ]; then
         echo "fleet never became ready:" >&2
-        curl -s "$coord/v1/nodes" >&2 || true
+        curl -s "$coord/v1/fleet/nodes" >&2 || true
         exit 1
     fi
     sleep 0.05
@@ -209,28 +209,28 @@ wait "$wb_pid" || { echo "worker b failed to drain for the upgrade" >&2; cat "$w
 pids+=($!)
 wb_pid=$!
 for i in $(seq 1 200); do
-    ready="$(curl -sf "$coord/v1/nodes" | grep -c '"state": "ready"' || true)"
+    ready="$(curl -sf "$coord/v1/fleet/nodes" | grep -c '"state": "ready"' || true)"
     [ "$ready" = 2 ] && break
     if [ "$i" = 200 ]; then
         echo "fleet never re-readied after the upgrade:" >&2
-        curl -s "$coord/v1/nodes" >&2 || true
+        curl -s "$coord/v1/fleet/nodes" >&2 || true
         exit 1
     fi
     sleep 0.05
 done
-curl -sf "$coord/v1/nodes" | grep -q '"algo_version": "gp/3-smoke"' ||
-    { echo "upgraded worker's version never reached the registry" >&2; curl -s "$coord/v1/nodes" >&2; exit 1; }
+curl -sf "$coord/v1/fleet/nodes" | grep -q '"algo_version": "gp/3-smoke"' ||
+    { echo "upgraded worker's version never reached the registry" >&2; curl -s "$coord/v1/fleet/nodes" >&2; exit 1; }
 
 echo "== fleet cache flush converges every worker on the new epoch"
 flush="$(curl -sf "$coord/v1/cache/flush" -d '{}')"
 epoch="$(printf '%s' "$flush" | sed -n 's/.*"epoch": \([0-9]*\).*/\1/p' | head -1)"
 [ "${epoch:-0}" -ge 1 ] || { echo "flush did not raise the epoch: $flush" >&2; exit 1; }
 for i in $(seq 1 200); do
-    conv="$(curl -sf "$coord/v1/nodes" | grep -c "\"epoch\": $epoch" || true)"
+    conv="$(curl -sf "$coord/v1/fleet/nodes" | grep -c "\"epoch\": $epoch" || true)"
     [ "$conv" = 2 ] && break
     if [ "$i" = 200 ]; then
         echo "fleet never converged on epoch $epoch:" >&2
-        curl -s "$coord/v1/nodes" >&2 || true
+        curl -s "$coord/v1/fleet/nodes" >&2 || true
         exit 1
     fi
     sleep 0.05
@@ -259,11 +259,9 @@ printf '%s\n' "$metrics" | grep -q '^gpcoordd_shadow_mismatch_total 0$' ||
     { echo "shadow mismatches across a same-binary upgrade:" >&2
       printf '%s\n' "$metrics" | grep '^gpcoordd_shadow' >&2; exit 1; }
 
-echo "== fleet API: JSON healthz and scaling advice"
+echo "== fleet API: JSON healthz"
 curl -sf "$coord/healthz" | grep -q '"status": "ok"' ||
     { echo "healthz is not the JSON fleet summary" >&2; curl -s "$coord/healthz" >&2; exit 1; }
-curl -sf "$coord/v1/fleet/advice" | grep -q '"advice": "' ||
-    { echo "/v1/fleet/advice returned no verdict" >&2; curl -s "$coord/v1/fleet/advice" >&2; exit 1; }
 
 echo "== observability: one X-Request-Id stitches coordinator and worker traces"
 rid="smoke0000feedbeef"
@@ -310,7 +308,7 @@ done
 bad_names="$(grep -vE '^#|^$' "$work/coord-metrics" "$work/worker-metrics" | sed 's/^[^:]*://' |
     awk '{print $1}' | grep -v '{' |
     grep -vE '_(total|bucket|sum|count)$' |
-    grep -vE '^(gpcoordd_fleet_advice|gpcoordd_jobs_running|gpcoordd_fleet_epoch|gpcoordd_recovery_(nodes_adopted|jobs_resumed|cells_restored)|gpcoordd_nodes|gpcoordd_latency_p(50|99)_seconds|gpserved_cache_entries|gpserved_algo_epoch|gpserved_queue_depth|gpserved_inflight|gpserved_latency_p(50|99)_seconds)$' || true)"
+    grep -vE '^(gpcoordd_jobs_running|gpcoordd_fleet_epoch|gpcoordd_recovery_(nodes_adopted|jobs_resumed|cells_restored)|gpcoordd_nodes|gpcoordd_latency_p(50|99)_seconds|gpserved_cache_entries|gpserved_algo_epoch|gpserved_queue_depth|gpserved_inflight|gpserved_latency_p(50|99)_seconds)$' || true)"
 [ -z "$bad_names" ] || { echo "unrecognized metric families:" >&2; printf '%s\n' "$bad_names" >&2; exit 1; }
 
 echo "== hot-key phase: single-key burst against 3 workers spills without shedding"
