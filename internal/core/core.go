@@ -16,7 +16,11 @@
 //     recomputes; URACAM never had a partition.
 //  4. Loops whose II escalates past a limit fall back to acyclic list
 //     scheduling, as the paper does for the few loops where modulo
-//     scheduling becomes inappropriate (§4.1).
+//     scheduling becomes inappropriate (§4.1). The limit starts at
+//     MII+IIWindow. Once the attempt at the MII fails, it drops to the
+//     length of the list schedule of that attempt's assignment: past it a
+//     modulo schedule takes more cycles than the fallback for any
+//     realistic trip count.
 package core
 
 import (
@@ -65,7 +69,9 @@ type Options struct {
 	// MeritThreshold is forwarded to the scheduler's figure of merit.
 	MeritThreshold float64
 	// IIWindow bounds how far past the MII the II may escalate before the
-	// list-scheduling fallback engages. Zero means the default MII+64.
+	// list-scheduling fallback engages. Zero means the default MII+64. It
+	// is the outer cap: the escalation also stops at the length of the
+	// list schedule of the MII attempt's assignment (see listCap).
 	IIWindow int
 	// Portfolio, when > 1, races K deterministically-seeded partition
 	// starts (seeds 0..K−1; seed 0 is the canonical paper start) in
@@ -226,6 +232,9 @@ func ScheduleLoopContext(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 			res.Elapsed = time.Since(start)
 			return res, nil
 		}
+		if ii == res.MII {
+			limit = listCap(g, m, assign, limit)
+		}
 		// II will be raised; the GP scheme recomputes the partition when
 		// the bus bound exceeds the raised II (§3.1).
 		if opts.Algorithm == GP && part != nil && part.IIBus > ii+1 {
@@ -245,4 +254,15 @@ func ScheduleLoopContext(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 	res.Assign = assign
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// listCap lowers the escalation's limit to the length of the list schedule
+// of assign, the assignment of the failed attempt at the MII. A modulo
+// schedule at II runs (n−1)·II + SL_mod cycles against the fallback's
+// n·SL_list, so past SL_list it loses to the fallback for any trip count n
+// with n−1 ≥ SL_list − SL_mod. Both escalation paths call it once, after
+// the first attempt fails, so a loop that schedules at its MII pays
+// nothing.
+func listCap(g *ddg.Graph, m *machine.Config, assign []int, limit int) int {
+	return min(limit, schedule.ListSchedule(g, m, assign).SL)
 }

@@ -92,41 +92,35 @@ func TestUnknownAlgorithmRejected(t *testing.T) {
 	}
 }
 
+// TestListFallbackEngages pins the fallback on applu/loop3, the loop of
+// the paper's evaluation whose II escalation costs the most: on the paper
+// machine every scheme fails each II from the MII of 9 up to the length of
+// its list schedule, stops there, and serves a Verify-clean list schedule.
 func TestListFallbackEngages(t *testing.T) {
-	// An absurdly long recurrence with a tiny II window forces the
-	// fallback.
-	g := ddg.New("long", 10)
-	a := g.AddNode(isa.IntALU, "")
-	b := g.AddNode(isa.IntALU, "")
-	g.AddEdge(ddg.Edge{From: a, To: b, Lat: 200, Dist: 0, Kind: ddg.Data})
-	g.AddEdge(ddg.Edge{From: b, To: a, Lat: 200, Dist: 1, Kind: ddg.Data})
-	m := machine.MustClustered(2, 32, 1, 1)
-	res, err := ScheduleLoop(g, m, &Options{IIWindow: 1})
-	if err != nil {
-		t.Fatal(err)
+	var g *ddg.Graph
+	for _, bm := range workload.SPECfp95() {
+		if bm.Name == "applu" {
+			g = bm.Loops[3].G
+		}
 	}
-	// RecMII = 400 which is schedulable at once, actually. IIWindow=1
-	// limits attempts to MII..MII+1, so modulo scheduling should still
-	// succeed; force the fallback instead with an impossible Fixed
-	// assignment.
-	_ = res
-	jam := ddg.New("jam", 10)
-	for i := 0; i < 5; i++ {
-		jam.AddNode(isa.IntALU, "")
-	}
-	// All five on one 2-wide cluster at II ≤ 2 is impossible; with a tiny
-	// II window Fixed must fall back to list scheduling.
-	res2, err := ScheduleLoop(jam, m, &Options{Algorithm: FixedPartition, IIWindow: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Schedule == nil {
-		t.Fatal("no schedule")
-	}
-	// (The partitioner balances the jam across clusters, so modulo
-	// scheduling normally succeeds; just check the result is valid.)
-	if err := res2.Schedule.Validate(jam, m); err != nil {
-		t.Error(err)
+	m := machine.MustClustered(4, 64, 1, 1)
+	for _, tc := range []struct {
+		alg      Algorithm
+		attempts int
+	}{{GP, 19}, {FixedPartition, 19}, {URACAM, 20}} {
+		res, err := ScheduleLoop(g, m, &Options{Algorithm: tc.alg})
+		if err != nil {
+			t.Fatalf("%v: %v", tc.alg, err)
+		}
+		if !res.ListFallback || !res.Schedule.List {
+			t.Errorf("%v: no list fallback (II %d)", tc.alg, res.Schedule.II)
+		}
+		if res.Attempts != tc.attempts {
+			t.Errorf("%v: %d attempts, want %d", tc.alg, res.Attempts, tc.attempts)
+		}
+		if err := schedule.Verify(g, m, res.Schedule); err != nil {
+			t.Errorf("%v: fallback fails verification: %v", tc.alg, err)
+		}
 	}
 }
 

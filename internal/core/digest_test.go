@@ -14,6 +14,8 @@ import (
 
 	"repro/internal/ddg"
 	"repro/internal/machine"
+	"repro/internal/partition"
+	"repro/internal/schedule"
 	"repro/internal/workload"
 )
 
@@ -63,7 +65,10 @@ func digestJobs(short bool) []digestJob {
 
 // digestLine schedules one cell and renders its oracle line: the sha256 of
 // the schedule's JSON encoding plus the escalation's attempt and partition
-// counts.
+// counts. It also checks the escalation's work bound against SL0, the
+// length of the list schedule of the cell's initial assignment (the
+// partition at the MII; none for URACAM): at most max(1, min(MII+64, SL0)
+// − MII + 1) attempts, and a modulo result never at an II above SL0.
 func digestLine(j digestJob) (string, error) {
 	res, err := ScheduleLoop(j.g, j.m, &Options{Algorithm: j.alg})
 	if err != nil {
@@ -73,12 +78,24 @@ func digestLine(j digestJob) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s %s %s %x attempts=%d partitions=%d",
-		j.m.Name, j.alg, j.g.Name, sha256.Sum256(body), res.Attempts, res.Partitions), nil
+	line := fmt.Sprintf("%s %s %s %x attempts=%d partitions=%d",
+		j.m.Name, j.alg, j.g.Name, sha256.Sum256(body), res.Attempts, res.Partitions)
+	var assign []int
+	if j.alg != URACAM {
+		assign = partition.New(j.g, j.m, nil).Partition(res.MII).Assign
+	}
+	sl0 := schedule.ListSchedule(j.g, j.m, assign).SL
+	if bound := max(1, min(res.MII+64, sl0)-res.MII+1); res.Attempts > bound {
+		return line, fmt.Errorf("%d attempts above the bound %d (MII %d, SL0 %d)", res.Attempts, bound, res.MII, sl0)
+	}
+	if !res.ListFallback && res.Schedule.II > sl0 {
+		return line, fmt.Errorf("modulo II %d above SL0 %d", res.Schedule.II, sl0)
+	}
+	return line, nil
 }
 
 // digestAll computes the oracle lines of jobs in order, on a small worker
-// pool.
+// pool, failing the test on any cell whose scheduling or work bound failed.
 func digestAll(t *testing.T, jobs []digestJob) []string {
 	lines := make([]string, len(jobs))
 	errs := make([]error, len(jobs))
@@ -100,8 +117,11 @@ func digestAll(t *testing.T, jobs []digestJob) []string {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("%s %s %s: %v", jobs[i].m.Name, jobs[i].alg, jobs[i].g.Name, err)
+			t.Errorf("%s %s %s: %v", jobs[i].m.Name, jobs[i].alg, jobs[i].g.Name, err)
 		}
+	}
+	if t.Failed() {
+		t.FailNow()
 	}
 	return lines
 }
@@ -110,7 +130,8 @@ func digestAll(t *testing.T, jobs []digestJob) []string {
 // and DSP on six machines under GP, Fixed and URACAM, one line per loop
 // with the sha256 of the schedule's JSON, Attempts and Partitions. The
 // golden sweep CSV records only per-program IPC to four decimals, so it
-// cannot see a moved transfer, MemOp or cluster; this oracle can. Under
+// cannot see a moved transfer, MemOp or cluster; this oracle can. Every
+// cell also checks the escalation's work bound (see digestLine). Under
 // -short only the 81 paper-machine GP loops and the point-to-point DSP
 // cells are compared.
 //

@@ -125,6 +125,11 @@ func schedulePortfolio(ctx context.Context, g *ddg.Graph, m *machine.Config, opt
 			res.Elapsed = time.Since(start)
 			return res, nil
 		}
+		// The sequential rule on seed 0's assignment: the same limit as
+		// Portfolio=1, so K racers never make more attempts.
+		if ii == res.MII {
+			limit = listCap(g, m, cands[0].part.Assign, limit)
+		}
 
 		// The II will be raised; each GP candidate applies the §3.1
 		// repartition rule against its own bus bound.

@@ -4,7 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ddg"
 	"repro/internal/machine"
+	"repro/internal/partition"
+	"repro/internal/workload"
 )
 
 // Micro-benchmarks for the scheduler's hot paths.
@@ -54,12 +57,31 @@ func BenchmarkSMSOrder(b *testing.B) {
 	}
 }
 
+// BenchmarkListSchedule list-schedules the 81 SPECfp95 loops on the
+// paper's 4-cluster/64reg/1bus/lat1 machine, each on its initial partition
+// at the MII: the schedule the escalation cap computes when a loop's first
+// attempt fails. One op is the whole corpus.
 func BenchmarkListSchedule(b *testing.B) {
-	r := rand.New(rand.NewSource(54))
-	g := randomLoop(r, 60)
-	m := machine.MustClustered(2, 32, 1, 1)
+	m := machine.MustClustered(4, 64, 1, 1)
+	type job struct {
+		g      *ddg.Graph
+		assign []int
+	}
+	var jobs []job
+	for _, bm := range workload.SPECfp95() {
+		for _, l := range bm.Loops {
+			assign := partition.New(l.G, m, nil).Partition(l.G.MII(m)).Assign
+			jobs = append(jobs, job{l.G, assign})
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ListSchedule(g, m, nil)
+		for _, j := range jobs {
+			listSink = ListSchedule(j.g, m, j.assign)
+		}
 	}
 }
+
+// listSink keeps BenchmarkListSchedule's calls from being optimized away.
+var listSink *Schedule

@@ -1,7 +1,7 @@
 package schedule
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/ddg"
 	"repro/internal/isa"
@@ -12,7 +12,9 @@ import (
 // the fallback the paper applies to the few loops whose initiation interval
 // escalates past the point where modulo scheduling is worthwhile (§4.1).
 // Iterations execute back to back, so the effective II equals the schedule
-// length and no value lives across iterations.
+// length and no value lives across iterations. That length is also where
+// core stops the II escalation, so every loop whose first modulo attempt
+// fails runs ListSchedule once to find it.
 //
 // Nodes are placed greedily in ALAP-criticality order at the earliest cycle
 // where their dependences (with bus latency on cut data edges) and a
@@ -46,22 +48,28 @@ func ListSchedule(g *ddg.Graph, m *machine.Config, assign []int) *Schedule {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if times.Latest[order[a]] != times.Latest[order[b]] {
-			return times.Latest[order[a]] < times.Latest[order[b]]
+	slices.SortStableFunc(order, func(a, b int) int {
+		if times.Latest[a] != times.Latest[b] {
+			return times.Latest[a] - times.Latest[b]
 		}
-		return order[a] < order[b]
+		return a - b
 	})
 
-	// Resource tables indexed by absolute cycle (grown on demand).
-	type row [isa.NumUnitKinds]int
-	var usage [][]row // [cluster][cycle]
-	usage = make([][]row, m.Clusters)
+	// Resource tables indexed by absolute cycle. Each cluster's table
+	// starts as long as the dependence-only schedule, carved out of one
+	// allocation, and grows on demand past that.
+	type row [isa.NumUnitKinds]int32
+	span := max(times.SL, 1)
+	rows := make([]row, m.Clusters*span)
+	usage := make([][]row, m.Clusters) // [cluster][cycle]
+	for c := range usage {
+		usage[c] = rows[c*span : (c+1)*span : (c+1)*span]
+	}
 	free := func(c, k, cyc int) bool {
 		if cyc >= len(usage[c]) {
 			return true
 		}
-		return usage[c][cyc][k] < m.UnitsIn(c, isa.UnitKind(k))
+		return int(usage[c][cyc][k]) < m.UnitsIn(c, isa.UnitKind(k))
 	}
 	take := func(c, k, cyc int) {
 		for cyc >= len(usage[c]) {
@@ -74,18 +82,18 @@ func ListSchedule(g *ddg.Graph, m *machine.Config, assign []int) *Schedule {
 	for i := range s.Time {
 		s.Time[i], s.Cluster[i] = -1, -1
 	}
+	candidates := make([]int, 0, m.Clusters)
 	for _, v := range order {
 		op := g.Nodes[v].Op
 		kind := int(op.Unit())
 		bestC, bestT := -1, 0
-		var candidates []int
+		candidates = candidates[:0]
 		if assign != nil && m.UnitsIn(assign[v], op.Unit()) > 0 {
-			candidates = []int{assign[v]}
+			candidates = append(candidates, assign[v])
 		} else {
 			// No assignment — or the assigned cluster cannot execute this
 			// operation kind (possible on heterogeneous machines): consider
 			// every cluster that can.
-			candidates = make([]int, 0, m.Clusters)
 			for c := 0; c < m.Clusters; c++ {
 				if m.UnitsIn(c, op.Unit()) > 0 {
 					candidates = append(candidates, c)
@@ -154,8 +162,13 @@ func ListSchedule(g *ddg.Graph, m *machine.Config, assign []int) *Schedule {
 	s.II = s.SL // iterations do not overlap
 
 	// Register pressure: within one iteration, values live def→last use.
+	// lastUse[u] is the latest in-cluster use of u's value; 0 counts no
+	// lifetime, as every latency is at least 1.
+	lastUse := make([]int, n)
+	depth := make([]int, s.SL+1)
 	for c := 0; c < m.Clusters; c++ {
-		lastUse := map[int]int{}
+		clear(lastUse)
+		clear(depth)
 		for _, e := range g.Edges {
 			if e.Kind != ddg.Data || e.Dist > 0 || s.Cluster[e.To] != c {
 				continue
@@ -164,7 +177,6 @@ func ListSchedule(g *ddg.Graph, m *machine.Config, assign []int) *Schedule {
 				lastUse[e.From] = t
 			}
 		}
-		depth := make([]int, s.SL+1)
 		for u, end := range lastUse {
 			def := s.Time[u] + m.OpLatency(g.Nodes[u].Op)
 			for t := def; t <= end && t < len(depth); t++ {

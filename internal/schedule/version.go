@@ -27,4 +27,10 @@ package schedule
 //	      and out of arena-owned scratch (greedy order, 2-exchange best-edge
 //	      index, Matching result); every digest byte-identical to gp/3,
 //	      bumped per the rule above
-const AlgoVersion = "gp/4"
+//	gp/5  the II escalation stops at the length of the list schedule of the
+//	      failed MII attempt's assignment (paper §4.1): one schedule moves,
+//	      4-cluster/32reg/1bus/lat2 GP adpcm/loop0 from modulo II 16 to the
+//	      shorter list SL 15, and 209 fallback cells make fewer attempts;
+//	      the list scheduler's scratch no longer allocates per cluster or
+//	      per node, same bytes
+const AlgoVersion = "gp/5"

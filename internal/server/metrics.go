@@ -33,12 +33,16 @@ type metrics struct {
 	machineCacheMisses atomic.Int64
 
 	// Scheduler-internal work counters, summed over every computed
-	// schedule: refinement transformations applied, and the refinement
-	// candidate screen's per-stage tallies (see partition.Result).
-	refineMoves atomic.Int64
-	screenLB    atomic.Int64
-	screenExact atomic.Int64
-	screenFull  atomic.Int64
+	// schedule: modulo-scheduling attempts (II values tried), loops that
+	// fell back to list scheduling, refinement transformations applied,
+	// and the refinement candidate screen's per-stage tallies (see
+	// partition.Result).
+	scheduleAttempts atomic.Int64
+	listFallbacks    atomic.Int64
+	refineMoves      atomic.Int64
+	screenLB         atomic.Int64
+	screenExact      atomic.Int64
+	screenFull       atomic.Int64
 
 	// portfolioWins counts, per seed index, how often that seed produced
 	// the served schedule of a portfolio (K>1) computation.
@@ -109,6 +113,8 @@ func (m *metrics) render(w io.Writer, queueDepth, cacheEntries int, epoch uint64
 	fmt.Fprintf(w, "gpserved_rejected_total %d\n", m.rejected.Load())
 	fmt.Fprintf(w, "gpserved_bad_requests_total %d\n", m.badRequests.Load())
 	fmt.Fprintf(w, "gpserved_verify_failures_total %d\n", m.verifyFailures.Load())
+	fmt.Fprintf(w, "gpserved_schedule_attempts_total %d\n", m.scheduleAttempts.Load())
+	fmt.Fprintf(w, "gpserved_list_fallbacks_total %d\n", m.listFallbacks.Load())
 	fmt.Fprintf(w, "gpserved_refine_moves_total %d\n", m.refineMoves.Load())
 	fmt.Fprintf(w, "gpserved_refine_screen_total{stage=\"lower_bound\"} %d\n", m.screenLB.Load())
 	fmt.Fprintf(w, "gpserved_refine_screen_total{stage=\"exact_t\"} %d\n", m.screenExact.Load())

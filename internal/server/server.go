@@ -494,8 +494,12 @@ func (s *Server) compute(key string, job *scheduleJob, epoch uint64, tr *obs.Tra
 			res.Partitions, res.RefineMoves, res.ScreenLowerBound, res.ScreenExact, res.ScreenFull),
 		res.PartitionDur)
 	tr.PhaseNote("schedule",
-		fmt.Sprintf("attempts=%d ii=%d seed=%d", res.Attempts, res.Schedule.II, res.PortfolioSeed),
+		fmt.Sprintf("attempts=%d ii=%d list=%t seed=%d", res.Attempts, res.Schedule.II, res.ListFallback, res.PortfolioSeed),
 		res.ScheduleDur)
+	s.metrics.scheduleAttempts.Add(int64(res.Attempts))
+	if res.ListFallback {
+		s.metrics.listFallbacks.Add(1)
+	}
 	s.metrics.refineMoves.Add(res.RefineMoves)
 	s.metrics.screenLB.Add(res.ScreenLowerBound)
 	s.metrics.screenExact.Add(res.ScreenExact)

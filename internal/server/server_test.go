@@ -9,13 +9,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/ddg"
 	"repro/internal/ddgio"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // tinyLoopText is a small, fast-to-schedule loop in the ddgio text format.
@@ -468,6 +471,77 @@ func TestMetricsLint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// metricValue scrapes /metrics and returns the value of the unlabeled
+// series name.
+func metricValue(t *testing.T, ts *httptest.Server, name string) int64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metrics missing %s:\n%s", name, raw)
+	return 0
+}
+
+// TestEscalationCounters pins the worker's escalation counters: computing
+// applu/loop3 on the paper machine, which fails 19 IIs and falls back to
+// list scheduling, adds 19 to gpserved_schedule_attempts_total and 1 to
+// gpserved_list_fallbacks_total and notes list=true on the trace's
+// schedule phase; the cache hit that repeats the request moves neither.
+func TestEscalationCounters(t *testing.T) {
+	var loop *ddg.Graph
+	for _, bm := range workload.SPECfp95() {
+		if bm.Name == "applu" {
+			loop = bm.Loops[3].G
+		}
+	}
+	var text bytes.Buffer
+	if err := ddgio.Write(&text, loop); err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, Config{})
+	body := scheduleBody(t, func(r *ScheduleRequest) {
+		r.LoopText, r.Clusters, r.Regs = text.String(), 4, 64
+	})
+	for i, want := range []struct {
+		xcache              string
+		attempts, fallbacks int64
+	}{{"miss", 19, 1}, {"hit", 19, 1}} {
+		resp, out := postSchedule(t, ts, body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != want.xcache {
+			t.Fatalf("request %d: %d X-Cache=%q %s", i, resp.StatusCode, resp.Header.Get("X-Cache"), out)
+		}
+		if got := metricValue(t, ts, "gpserved_schedule_attempts_total"); got != want.attempts {
+			t.Errorf("request %d: gpserved_schedule_attempts_total %d, want %d", i, got, want.attempts)
+		}
+		if got := metricValue(t, ts, "gpserved_list_fallbacks_total"); got != want.fallbacks {
+			t.Errorf("request %d: gpserved_list_fallbacks_total %d, want %d", i, got, want.fallbacks)
+		}
+	}
+	note := ""
+	for _, tr := range srv.traces.Recent(0) {
+		for _, ph := range tr.Phases() {
+			if ph.Name == "schedule" {
+				note = ph.Note
+			}
+		}
+	}
+	if !strings.Contains(note, " list=true ") {
+		t.Errorf("schedule phase note %q lacks list=true", note)
 	}
 }
 
