@@ -14,7 +14,7 @@
 //	gpbench [-table1] [-figure2] [-figure3] [-table2] [-summary] [-ablations] [-all]
 //	        [-machine m1.txt,m2.txt] [-sweep] [-short] [-noverify]
 //	        [-parallel N] [-csv out.csv]
-//	        [-bench-json BENCH_partition.json] [-cpuprofile cpu.out] [-memprofile mem.out]
+//	        [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
 
 import (
@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	all := fs.Bool("all", false, "everything")
 	par := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines scheduling loops (1 = sequential; IPC results are identical for every value)")
-	benchJSON := fs.String("bench-json", "", "run the partitioner micro-benchmarks and write a perf snapshot (ns/op, allocs/op, schedules/sec) to this JSON file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	if err := fs.Parse(args); err != nil {
@@ -99,29 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *benchJSON != "" {
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(stderr, "gpbench: %v\n", err)
-			return 1
-		}
-		snap, err := bench.MeasurePerf()
-		if err != nil {
-			f.Close()
-			fmt.Fprintf(stderr, "gpbench: bench-json: %v\n", err)
-			return 1
-		}
-		if err := bench.WritePerfJSON(f, snap); err != nil {
-			f.Close()
-			fmt.Fprintf(stderr, "gpbench: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(stderr, "gpbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "perf snapshot written to %s (%.0f schedules/sec)\n", *benchJSON, snap.SchedulesPerSec)
-	}
 	machineSet, err := loadMachines(*machines)
 	if err != nil {
 		fmt.Fprintf(stderr, "gpbench: %v\n", err)
@@ -130,9 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *sweep {
 		return runSweep(machineSet, *par, *short, !*noVerify, *csvPath, stdout, stderr)
-	}
-	if *benchJSON != "" && !(*t1 || *f2 || *f3 || *t2 || *sum || *abl || *all || *machines != "") {
-		return 0 // bench-json alone: no paper panels
 	}
 	if !(*t1 || *f2 || *f3 || *t2 || *sum || *abl || *all || *machines != "") {
 		*all = true

@@ -2,13 +2,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/isa"
 	"repro/internal/machine"
 )
@@ -91,53 +89,6 @@ func TestMachineFlagRunsCustomPanel(t *testing.T) {
 	}
 }
 
-// TestBenchJSONSnapshot exercises the -bench-json perf-snapshot mode end to
-// end: the file must parse, carry the three partitioner micro-benchmarks,
-// and report zero steady-state allocations for the evaluator (the
-// allocation-free contract of the incremental refactor).
-func TestBenchJSONSnapshot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs testing.Benchmark measurements (several seconds)")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_partition.json")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-bench-json", path}, &out, &errb); code != 0 {
-		t.Fatalf("exited %d: %s", code, errb.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap bench.PerfSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("snapshot does not parse: %v\n%s", err, data)
-	}
-	want := map[string]bool{
-		"partition_medium_2cluster": false,
-		"partition_large_4cluster":  false,
-		"evaluate_steady_state":     false,
-	}
-	for _, b := range snap.Benchmarks {
-		if _, ok := want[b.Name]; ok {
-			want[b.Name] = true
-		}
-		if b.NsPerOp <= 0 {
-			t.Errorf("%s: ns_per_op %d not positive", b.Name, b.NsPerOp)
-		}
-		if b.Name == "evaluate_steady_state" && b.AllocsPerOp != 0 {
-			t.Errorf("evaluate_steady_state allocates %d/op, want 0", b.AllocsPerOp)
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("snapshot missing benchmark %q", name)
-		}
-	}
-	if snap.SchedulesPerSec <= 0 || snap.LoopsScheduled <= 0 {
-		t.Errorf("throughput not measured: %+v", snap)
-	}
-}
-
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -146,7 +97,6 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-nosuchflag"}, 2},
 		{[]string{"-machine", "/does/not/exist"}, 1},
 		{[]string{"-machine", " , "}, 1},
-		{[]string{"-bench-json", "/does/not/exist/bench.json"}, 1},
 	}
 	for _, tc := range cases {
 		var out, errb bytes.Buffer

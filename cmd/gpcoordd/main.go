@@ -22,18 +22,11 @@
 //	         [-job-workers N] [-cell-attempts N] [-journal DIR] [-load-bound 1.25]
 //	         [-shadow-rate R] [-shadow-canary ID] [-log-format text|json]
 //	         [-debug-addr ADDR] [-drain 30s]
-//	gpcoordd -bench-json BENCH_cluster.json [-bench-requests N] [-bench-concurrency N] [-bench-workers N]
 //
 // Placement is bounded-load rendezvous hashing: -load-bound sets the
 // factor c past which a key's HRW owner (at more than c×mean in-flight
 // requests) spills work to the next-ranked ready node. <=0 disables
 // spilling (pure HRW).
-//
-// The -bench-json mode does not serve: it boots an in-process coordinator
-// plus worker fleet, drives it with a sustained request mix over loopback
-// HTTP, writes the throughput snapshot — including the Zipf hot-key
-// phases proving bounded-load spilling restores skewed-traffic throughput
-// — and exits.
 package main
 
 import (
@@ -49,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -90,10 +82,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")
 	debugAddr := fs.String("debug-addr", "", "listen address for the pprof debug server (empty = off)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")
-	benchJSON := fs.String("bench-json", "", "measure cluster throughput and write the snapshot to this JSON file, then exit")
-	benchReqs := fs.Int("bench-requests", 400, "total requests of the -bench-json measurement")
-	benchConc := fs.Int("bench-concurrency", 8, "client goroutines of the -bench-json measurement")
-	benchWorkers := fs.Int("bench-workers", 2, "fleet size of the -bench-json measurement")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -111,45 +99,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cfg.LoadBound = -1
 	} else {
 		cfg.LoadBound = *loadBound
-	}
-
-	if *benchJSON != "" {
-		snap, err := cluster.MeasureThroughput(cfg, cluster.PerfOptions{
-			Requests:    *benchReqs,
-			Concurrency: *benchConc,
-			Workers:     *benchWorkers,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "gpcoordd: bench: %v\n", err)
-			return 1
-		}
-		hot, err := cluster.MeasureHotKey(cfg, cluster.HotKeyOptions{
-			Workers: *benchWorkers,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "gpcoordd: bench: hot-key: %v\n", err)
-			return 1
-		}
-		snap.HotKey = hot
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(stderr, "gpcoordd: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteServerPerfJSON(f, snap); err != nil {
-			f.Close()
-			fmt.Fprintf(stderr, "gpcoordd: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(stderr, "gpcoordd: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "cluster perf snapshot written to %s (%.0f req/s, %.0f%% fleet cache hits, p99 %.0fµs)\n",
-			*benchJSON, snap.RequestsPerSec, snap.CacheHitRate*100, snap.P99Micros)
-		fmt.Fprintf(stdout, "hot-key: uniform %.0f/s, hot no-spill %.0f/s, hot spill %.0f/s (%.2fx vs no-spill, uniform/spill %.2f, %d spills)\n",
-			hot.UniformPerSec, hot.HotNoSpillPerSec, hot.HotSpillPerSec, hot.SpeedupVsNoSpill, hot.UniformOverSpill, hot.Spills)
-		return 0
 	}
 
 	if *journalDir != "" {

@@ -318,39 +318,6 @@ func TestCoorddSmoke(t *testing.T) {
 	}
 }
 
-func TestBenchJSONMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput measurement; skipped with -short")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_cluster.json")
-	var stdout, stderr bytes.Buffer
-	code := run(context.Background(), []string{
-		"-bench-json", path,
-		"-bench-requests", "120",
-		"-bench-concurrency", "4",
-		"-bench-workers", "2",
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap bench.ServerPerfSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("snapshot not JSON: %v\n%s", err, data)
-	}
-	if snap.Requests != 120 || snap.RequestsPerSec <= 0 || snap.Errors != 0 {
-		t.Fatalf("implausible snapshot: %+v", snap)
-	}
-	if snap.CacheHitRate <= 0 {
-		// 120 requests cycle an 81-loop working set: the second lap must
-		// hit the fleet's sharded caches.
-		t.Fatalf("no cache hits cycling the working set twice: %+v", snap)
-	}
-}
-
 func TestBadFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(context.Background(), []string{"-no-such-flag"}, &stdout, &stderr); code != 2 {

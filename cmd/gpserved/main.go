@@ -8,17 +8,12 @@
 //
 //	gpserved [-addr :8037] [-workers N] [-queue N] [-cache N]
 //	gpserved -coordinator http://host:8038 [-advertise URL] [-node-id ID]
-//	gpserved -bench-json BENCH_server.json [-bench-requests N] [-bench-concurrency N]
 //
 // With -coordinator the daemon joins a gpcoordd fleet: it registers with
 // its capacity and advertised endpoint, heartbeats on the coordinator's
 // cadence, re-registers if the coordinator restarts, and deregisters
 // before draining on SIGTERM so the coordinator stops routing to it
 // immediately instead of waiting out the dead-node detector.
-//
-// The -bench-json mode does not serve: it boots an in-process daemon,
-// drives it with a sustained request mix over loopback HTTP, writes the
-// throughput snapshot and exits.
 package main
 
 import (
@@ -36,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -86,43 +80,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	portfolio := fs.Int("portfolio", 0, "default portfolio width: race K seeded partition starts per request and keep the best (0 or 1 = sequential; K>1 is folded into the advertised algorithm version)")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")
 	debugAddr := fs.String("debug-addr", "", "listen address for the pprof debug server (empty = off)")
-	benchJSON := fs.String("bench-json", "", "measure sustained throughput and write the snapshot to this JSON file, then exit")
-	benchReqs := fs.Int("bench-requests", 400, "total requests of the -bench-json measurement")
-	benchConc := fs.Int("bench-concurrency", 8, "client goroutines of the -bench-json measurement")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	cfg := server.Config{Workers: *workers, QueueDepth: *queue, CacheEntries: *cacheN,
 		AlgoVersion: *algoVersion, BalanceBestFit: *bestFit, Portfolio: *portfolio}
-
-	if *benchJSON != "" {
-		snap, err := server.MeasureThroughput(cfg, server.PerfOptions{
-			Requests:    *benchReqs,
-			Concurrency: *benchConc,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "gpserved: bench: %v\n", err)
-			return 1
-		}
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(stderr, "gpserved: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteServerPerfJSON(f, snap); err != nil {
-			f.Close()
-			fmt.Fprintf(stderr, "gpserved: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(stderr, "gpserved: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "server perf snapshot written to %s (%.0f req/s, %.0f%% cache hits, p99 %.0fµs)\n",
-			*benchJSON, snap.RequestsPerSec, snap.CacheHitRate*100, snap.P99Micros)
-		return 0
-	}
 
 	logger, err := obs.NewLogger(*logFormat, stdout)
 	if err != nil {

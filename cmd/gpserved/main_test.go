@@ -8,14 +8,11 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/cluster"
 )
 
@@ -287,37 +284,6 @@ func TestWorkerModeJoinsAndLeavesFleet(t *testing.T) {
 	}
 	if nodes := coord.Nodes(); len(nodes) != 0 {
 		t.Fatalf("worker still registered after graceful exit: %+v", nodes)
-	}
-}
-
-func TestBenchJSONMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput measurement; skipped with -short")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_server.json")
-	var stdout, stderr bytes.Buffer
-	code := run(context.Background(), []string{
-		"-bench-json", path,
-		"-bench-requests", "120",
-		"-bench-concurrency", "4",
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap bench.ServerPerfSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("snapshot not JSON: %v\n%s", err, data)
-	}
-	if snap.Requests != 120 || snap.RequestsPerSec <= 0 || snap.Errors != 0 {
-		t.Fatalf("implausible snapshot: %+v", snap)
-	}
-	if snap.CacheHitRate <= 0 {
-		// 120 requests cycle an 81-loop working set: the second lap must hit.
-		t.Fatalf("no cache hits cycling the working set twice: %+v", snap)
 	}
 }
 

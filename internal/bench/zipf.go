@@ -7,16 +7,15 @@ import "math/rand"
 // It is fully deterministic: the same seed yields the same index sequence
 // on every platform and Go release (math/rand's generator and rand.Zipf
 // are covered by the Go 1 compatibility promise), which is what lets the
-// hot-key benchmark and its tests replay the exact same traffic against
-// different placement policies and compare throughput apples-to-apples.
+// perfledger benchmark's fleet-zipf workload replay the exact same request
+// stream for a given seed.
 type ZipfSampler struct {
 	z *rand.Zipf
 }
 
 // NewZipfSampler returns a sampler over indices [0, imax] with skew
-// exponent s (s must be > 1; the canonical hot-key benchmark uses 2.0,
-// under which index 0 draws roughly 60% of the traffic for an 81-key
-// space).
+// exponent s (s must be > 1; at 2.0, index 0 draws roughly 60% of the
+// traffic for an 81-key space).
 func NewZipfSampler(seed int64, s float64, imax uint64) *ZipfSampler {
 	return &ZipfSampler{z: rand.NewZipf(rand.New(rand.NewSource(seed)), s, 1, imax)}
 }

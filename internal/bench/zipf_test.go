@@ -2,9 +2,9 @@ package bench
 
 import "testing"
 
-// The hot-key benchmark's whole comparison rests on replaying the exact
-// same skewed traffic under different placement policies, so the sampler
-// must be bit-for-bit deterministic per seed — and actually skewed.
+// The fleet-zipf workload replays the same skewed request stream for a
+// given seed, so the sampler must be bit-for-bit deterministic per seed —
+// and actually skewed.
 func TestZipfSamplerDeterministicAndSkewed(t *testing.T) {
 	const n = 2000
 	a := NewZipfSampler(1, 1.5, 80)

@@ -11,6 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
+
 // portfolioCorpus returns a deterministic slice of real loops: the first
 // loop of each SPECfp95 benchmark, then the paper machine's four GP list
 // fallbacks (applu/loop3 and fpppp/loop4 from SPECfp95, g721/loop2 and
@@ -120,5 +123,25 @@ func TestPortfolioURACAMIgnored(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Schedule, base.Schedule) || got.Partitions != 0 {
 		t.Errorf("URACAM portfolio output differs from sequential")
+	}
+}
+
+// TestPortfolioWarmAllocs pins the pooled per-seed arenas of the portfolio
+// path: once warm, a Portfolio=4 schedule of tomcatv/loop0 on two clusters
+// makes at most 266 allocations, racing goroutines included.
+func TestPortfolioWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	g := workload.SPECfp95()[0].Loops[0].G
+	m := machine.MustClustered(2, 32, 1, 1)
+	opts := &Options{Portfolio: 4}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := ScheduleLoop(g, m, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 266 {
+		t.Errorf("%s on %s: %v allocs per warmed Portfolio=4 schedule, want at most 266", g.Name, m.Name, got)
 	}
 }

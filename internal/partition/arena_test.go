@@ -4,14 +4,27 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/ddg"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
-// TestPartitionWarmArenaAllocs pins the arena contract on the paper's
-// machine: once an arena is warm, a Partition run allocates only the
-// Partitioner, the Result and its Assign slice, averaged over the SPECfp95
-// corpus.
+// generatedLoop is a generated loop of about 100 operations (seed 7),
+// larger than any SPECfp95 loop, so partitioning it coarsens through
+// several levels.
+func generatedLoop() *ddg.Graph {
+	return workload.Generate(workload.Profile{
+		Name: "generated-100", Seed: 7, NumLoops: 1,
+		MinOps: 96, MaxOps: 104, MemFrac: 0.30, FPFrac: 0.40,
+		RecDensity: 0.25, TripMin: 100, TripMax: 120,
+	}).Loops[0].G
+}
+
+// TestPartitionWarmArenaAllocs pins the arena contract: once an arena is
+// warm, a Partition run allocates only the Partitioner, the Result and its
+// Assign slice. On the paper's machine the count is averaged over the
+// SPECfp95 corpus; a medium loop on two clusters and the generated loop on
+// four clusters with a 2-cycle bus are each pinned exactly.
 func TestPartitionWarmArenaAllocs(t *testing.T) {
 	m := machine.MustClustered(4, 64, 1, 1)
 	ar := NewArena()
@@ -26,6 +39,58 @@ func TestPartitionWarmArenaAllocs(t *testing.T) {
 	}
 	if avg := total / float64(loops); avg > 4 {
 		t.Errorf("%.1f allocs per warmed-arena Partition over %d loops, want at most 4", avg, loops)
+	}
+
+	for _, tc := range []struct {
+		g *ddg.Graph
+		m *machine.Config
+	}{
+		{workload.SPECfp95()[0].Loops[0].G, machine.MustClustered(2, 32, 1, 1)},
+		{generatedLoop(), machine.MustClustered(4, 64, 1, 2)},
+	} {
+		ar := NewArena()
+		ii := tc.g.MII(tc.m)
+		if got := testing.AllocsPerRun(5, func() { NewWithArena(tc.g, tc.m, nil, ar).Partition(ii) }); got != 3 {
+			t.Errorf("%s on %s: %v allocs per warmed-arena Partition, want 3", tc.g.Name, tc.m.Name, got)
+		}
+	}
+}
+
+// TestEvaluateAllocFree pins the steady-state estimators on the generated
+// loop: once their scratch is warm, a full evaluate, the refinement's
+// move → estimate → undo step and its screened move → lowerBoundT → undo
+// step allocate nothing.
+func TestEvaluateAllocFree(t *testing.T) {
+	g := generatedLoop()
+	m := machine.MustClustered(4, 64, 1, 2)
+	ii := g.MII(m)
+	p := New(g, m, nil)
+	assign := make([]int, g.N())
+	for v := range assign {
+		assign[v] = v % m.Clusters
+	}
+	if got := testing.AllocsPerRun(10, func() { p.evaluate(assign, ii) }); got != 0 {
+		t.Errorf("evaluate: %v allocs, want 0", got)
+	}
+
+	p.computeWeights(ii)
+	en := newEngine(p, slices.Clone(assign))
+	group := []int{0}
+	for _, step := range []struct {
+		name  string
+		probe func()
+	}{
+		{"move → estimate → undo", func() { en.estimate(ii) }},
+		{"move → lowerBoundT → undo", func() { en.lowerBoundT(ii) }},
+	} {
+		got := testing.AllocsPerRun(10, func() {
+			en.move(group, 1)
+			step.probe()
+			en.move(group, 0)
+		})
+		if got != 0 {
+			t.Errorf("%s: %v allocs, want 0", step.name, got)
+		}
 	}
 }
 

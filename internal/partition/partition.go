@@ -230,16 +230,6 @@ func (p *Partitioner) Partition(ii int) *Result {
 	return res
 }
 
-// EvaluateForBenchmark runs the internal partition-quality estimator once
-// for the given assignment at interval ii and returns the estimated
-// execution time and II. It exists for the perf-snapshot harness
-// (internal/bench, gpbench -bench-json), which pins the estimator's
-// steady-state allocation count from outside the package.
-func (p *Partitioner) EvaluateForBenchmark(assign []int, ii int) (estTime int64, estII int) {
-	e := p.evaluate(assign, ii)
-	return e.t, e.ii
-}
-
 // IIBusFor returns the interconnect-imposed II bound for an assignment: the
 // minimum number of cycles needed to schedule the partition's
 // communications on the available buses (paper §3.1) or, for point-to-point

@@ -8,10 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/ddgio"
 	"repro/internal/machine"
+	"repro/internal/workload"
 )
 
 // batchLoopText returns tinyLoopText with a distinct loop name, so a batch
@@ -354,5 +358,86 @@ func TestBodyHashFastPathServesVerbatimRepeat(t *testing.T) {
 	}
 	if n := srv.metrics.bodyHits.Load(); n != 1 {
 		t.Fatalf("body-hash hits = %d, want 1", n)
+	}
+}
+
+// TestBatchAmortization pins what /v1/schedule/batch is for: with every
+// loop already cached, serving the 81 SPECfp95 loops in 32-loop envelopes
+// must deliver at least 5× the loops per second of serving them as
+// singletons. After one cold fill, a trial times both sides the same way:
+// one sequential client, one priming pass, then three timed passes over the
+// whole working set. Both sides run on the same host in the same process,
+// so the ratio holds on any machine. A batch pass takes well under a
+// millisecond, so one trial that loses a time slice to another process can
+// read far low; the gate is on the median of five trials.
+func TestBatchAmortization(t *testing.T) {
+	if testing.Short() {
+		t.Skip("schedules the 81 SPECfp95 loops cold; skipped with -short")
+	}
+	const perBatch, passes, trials, minSpeedup = 32, 3, 5, 5.0
+	m := machine.MustClustered(4, 64, 1, 1)
+	var singles, batches [][]byte
+	var loops []BatchLoop
+	for _, bm := range workload.SPECfp95() {
+		for _, l := range bm.Loops {
+			var text bytes.Buffer
+			if err := ddgio.Write(&text, l.G); err != nil {
+				t.Fatal(err)
+			}
+			body, err := json.Marshal(&ScheduleRequest{LoopText: text.String(), Machine: m, Scheme: "GP"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			singles = append(singles, body)
+			loops = append(loops, BatchLoop{LoopText: text.String()})
+		}
+	}
+	for i := 0; i < len(loops); i += perBatch {
+		body, err := json.Marshal(&BatchRequest{Machine: m, Scheme: "GP", Loops: loops[i:min(i+perBatch, len(loops))]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, body)
+	}
+
+	_, ts := newTestServer(t, Config{})
+	post := func(url string, body []byte) {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", url, resp.StatusCode)
+		}
+	}
+	for _, body := range singles {
+		post(ts.URL+"/v1/schedule", body)
+	}
+	// loopsPerSec posts every body once untimed, so the endpoint's verbatim
+	// fast path is hot, then times passes more rounds.
+	loopsPerSec := func(url string, bodies [][]byte) float64 {
+		var start time.Time
+		for p := -1; p < passes; p++ {
+			if p == 0 {
+				start = time.Now()
+			}
+			for _, body := range bodies {
+				post(url, body)
+			}
+		}
+		return float64(passes*len(loops)) / time.Since(start).Seconds()
+	}
+	ratios := make([]float64, trials)
+	for k := range ratios {
+		single := loopsPerSec(ts.URL+"/v1/schedule", singles)
+		batch := loopsPerSec(ts.URL+"/v1/schedule/batch", batches)
+		ratios[k] = batch / single
+		t.Logf("trial %d: warm singleton %.0f loops/s, warm batch %.0f loops/s: %.2f×", k, single, batch, ratios[k])
+	}
+	slices.Sort(ratios)
+	if med := ratios[trials/2]; med < minSpeedup {
+		t.Errorf("warm batch serves a median %.2f× the singleton loops/s over %d trials, want at least %.0f×", med, trials, minSpeedup)
 	}
 }

@@ -2,15 +2,27 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ddgio"
+	"repro/internal/partition"
 	"repro/internal/schedule"
+	"repro/internal/workload"
 )
+
+// fuzzScheduleLimit is the largest loop FuzzScheduleRequest schedules; the
+// bound keeps each execution cheap enough for the fuzzing engine.
+const fuzzScheduleLimit = 32
 
 // FuzzScheduleRequest fuzzes the /v1/schedule JSON decoder: arbitrary bytes
 // must never panic, and any body it accepts must yield a validated graph
 // and machine with a deterministic cache key (the content address the whole
-// caching story hangs on).
+// caching story hangs on). An accepted loop of at most fuzzScheduleLimit
+// nodes that passes admission is also scheduled, as the server would: the
+// schedule must pass Verify and the escalation must stay inside its work
+// bound (see checkWorkBound).
 func FuzzScheduleRequest(f *testing.F) {
 	f.Add([]byte(`{"loop_text":"loop t 10\nnode 0 IntALU\n","clusters":2}`))
 	f.Add([]byte(`{"loop":{"name":"x","niter":5,"nodes":[{"op":"Load"},{"op":"IntALU"}],"edges":[{"from":0,"to":1,"lat":2}]},"clusters":4,"regs":64}`))
@@ -18,6 +30,22 @@ func FuzzScheduleRequest(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{{{`))
 	f.Add([]byte(`{"loop_text":"loop t 10\nnode 0 Store\nedge 0 0 1 1 data\n","clusters":2}`))
+	// viterbi/loop5 under GP on the paper's machine fails every II up to its
+	// list schedule's length and falls back, so the work bound is reached.
+	for _, bm := range workload.DSP() {
+		if bm.Name != "viterbi" {
+			continue
+		}
+		var text bytes.Buffer
+		if err := ddgio.Write(&text, bm.Loops[5].G); err != nil {
+			f.Fatal(err)
+		}
+		body, err := json.Marshal(&ScheduleRequest{LoopText: text.String(), Clusters: 4, Regs: 64, NBus: 1, LatBus: 1, Scheme: "GP"})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		job, err := parseScheduleRequest(data)
@@ -57,7 +85,36 @@ func FuzzScheduleRequest(f *testing.F) {
 				t.Fatalf("salted key not deterministic: %s vs %s", ko, ko2)
 			}
 		}
+		if job.g.N() <= fuzzScheduleLimit && job.admissionCheck() == nil {
+			checkWorkBound(t, job)
+		}
 	})
+}
+
+// checkWorkBound schedules job with its algorithm and portfolio and checks
+// the escalation's work bound against SL0, the length of the list schedule
+// of the partition at the MII (no partition for URACAM): at most
+// max(1, min(MII+64, SL0) − MII + 1) attempts, and a modulo result never at
+// an II above SL0. TestScheduleDigests checks the same bound on the corpus.
+func checkWorkBound(t *testing.T, job *scheduleJob) {
+	res, err := core.ScheduleLoop(job.g, job.m, &core.Options{Algorithm: job.alg, Portfolio: job.portfolio})
+	if err != nil {
+		t.Fatalf("schedule: %v", err)
+	}
+	if err := schedule.Verify(job.g, job.m, res.Schedule); err != nil {
+		t.Fatalf("schedule failed verification: %v", err)
+	}
+	var assign []int
+	if job.alg != core.URACAM {
+		assign = partition.New(job.g, job.m, nil).Partition(res.MII).Assign
+	}
+	sl0 := schedule.ListSchedule(job.g, job.m, assign).SL
+	if bound := max(1, min(res.MII+64, sl0)-res.MII+1); res.Attempts > bound {
+		t.Fatalf("%d attempts above the bound %d (MII %d, SL0 %d)", res.Attempts, bound, res.MII, sl0)
+	}
+	if !res.ListFallback && res.Schedule.II > sl0 {
+		t.Fatalf("modulo II %d above SL0 %d", res.Schedule.II, sl0)
+	}
 }
 
 // FuzzBatchRequest fuzzes the /v1/schedule/batch envelope decoder: arbitrary

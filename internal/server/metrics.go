@@ -131,12 +131,3 @@ func (m *metrics) render(w io.Writer, queueDepth, cacheEntries int, epoch uint64
 	m.durations.Write(w, "gpserved_request_duration_seconds")
 	m.portfolioWinSec.Write(w, "gpserved_portfolio_win_seconds")
 }
-
-// hitRate returns cache hits / (hits + misses), or 0 before any lookup.
-func (m *metrics) hitRate() float64 {
-	h, mi := m.cacheHits.Load(), m.cacheMisses.Load()
-	if h+mi == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+mi)
-}

@@ -178,7 +178,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Close() { s.pool.Close() }
 
 // Metrics returns a point-in-time snapshot of selected counters (used by
-// the throughput benchmark and tests).
+// the perfledger benchmark and tests).
 func (s *Server) Metrics() (cacheHits, cacheMisses, coalesced, rejected int64) {
 	return s.metrics.cacheHits.Load(), s.metrics.cacheMisses.Load(),
 		s.metrics.coalesced.Load(), s.metrics.rejected.Load()

@@ -387,3 +387,59 @@ func TestJournalClosedErrors(t *testing.T) {
 		t.Fatal("expected error loading closed journal")
 	}
 }
+
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
+
+// appendJournal opens a NoSync journal holding one job and returns an
+// append step: one journaled cell completion (marshal, CRC frame, buffered
+// write), the store operation on the job hot path. NoSync isolates the
+// encoding cost from device fsync latency, and the cell index cycles
+// through 64 slots, so each append is the steady-state replacement write.
+func appendJournal(tb testing.TB) func(i int) {
+	tb.Helper()
+	j, err := OpenJournal(tb.TempDir(), JournalOptions{NoSync: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { j.Close() })
+	if err := j.PutJob("bench-job", 1, []byte(`{"maxLoops":64}`)); err != nil {
+		tb.Fatal(err)
+	}
+	rows := []byte("SPECfp95,machine,loop,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16\n")
+	return func(i int) {
+		if err := j.FinishCell("bench-job", CellRecord{
+			Index: i % 64,
+			Key:   "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef",
+			Rows:  rows,
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkJournalAppend(b *testing.B) {
+	appendCell := appendJournal(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		appendCell(i)
+	}
+}
+
+// TestJournalAppendAllocs pins a journal append at exactly 4 allocations,
+// so a new allocation on the coordinator's job hot path fails here.
+func TestJournalAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations to the append path")
+	}
+	appendCell := appendJournal(t)
+	i := 0
+	got := testing.AllocsPerRun(200, func() {
+		appendCell(i)
+		i++
+	})
+	if got != 4 {
+		t.Errorf("%v allocs per journal append, want 4", got)
+	}
+}
