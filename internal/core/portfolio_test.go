@@ -128,7 +128,7 @@ func TestPortfolioURACAMIgnored(t *testing.T) {
 
 // TestPortfolioWarmAllocs pins the pooled per-seed arenas of the portfolio
 // path: once warm, a Portfolio=4 schedule of tomcatv/loop0 on two clusters
-// makes at most 266 allocations, racing goroutines included.
+// makes at most 86 allocations, racing goroutines included.
 func TestPortfolioWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -141,7 +141,7 @@ func TestPortfolioWarmAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > 266 {
-		t.Errorf("%s on %s: %v allocs per warmed Portfolio=4 schedule, want at most 266", g.Name, m.Name, got)
+	if got > 86 {
+		t.Errorf("%s on %s: %v allocs per warmed Portfolio=4 schedule, want at most 86", g.Name, m.Name, got)
 	}
 }

@@ -1,0 +1,45 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/workload"
+)
+
+// TestSPECfpScreeningTotals pins the partitioner's work on one pass of the
+// paper's evaluation (every SPECfp95 loop under GP on the 4-cluster/64reg/
+// 1bus/lat1 machine): the refinement candidates each screening stage
+// settles, the applied refinement moves and the partitions computed. The
+// schedule digests pin what refinement chooses; these totals pin how many
+// candidates it examined to get there and where each was decided, so a
+// screen that rejects a different set of candidates fails here even when
+// it happens to choose the same moves.
+func TestSPECfpScreeningTotals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full SPECfp95 pass; the digest oracle covers the schedules in -short mode")
+	}
+	m := machine.MustClustered(4, 64, 1, 1)
+	var got Result
+	for _, b := range workload.SPECfp95() {
+		for _, l := range b.Loops {
+			res, err := ScheduleLoop(l.G, m, &Options{Algorithm: GP})
+			if err != nil {
+				t.Fatalf("%s: %v", l.G.Name, err)
+			}
+			got.Partitions += res.Partitions
+			got.RefineMoves += res.RefineMoves
+			got.ScreenLowerBound += res.ScreenLowerBound
+			got.ScreenExact += res.ScreenExact
+			got.ScreenFull += res.ScreenFull
+		}
+	}
+	want := Result{Partitions: 208, RefineMoves: 1054, ScreenLowerBound: 66978, ScreenExact: 30826, ScreenFull: 3611}
+	if got.Partitions != want.Partitions || got.RefineMoves != want.RefineMoves ||
+		got.ScreenLowerBound != want.ScreenLowerBound || got.ScreenExact != want.ScreenExact ||
+		got.ScreenFull != want.ScreenFull {
+		t.Errorf("partitions %d, refine moves %d, screened %d / %d / %d (lower bound / exact / full); want %d, %d, %d / %d / %d",
+			got.Partitions, got.RefineMoves, got.ScreenLowerBound, got.ScreenExact, got.ScreenFull,
+			want.Partitions, want.RefineMoves, want.ScreenLowerBound, want.ScreenExact, want.ScreenFull)
+	}
+}

@@ -77,7 +77,9 @@ type Edge struct {
 //
 // Build a Graph with New, AddNode and AddEdge, then call Validate (or use
 // the top-level gpsched builder, which validates for you). Graphs are cheap
-// to clone and the analyses never mutate the graph.
+// to clone and the analyses never mutate the graph. Change a graph only
+// through AddNode, AddEdge and AddDep: the analyses cache structure derived
+// from its edges, and only those calls drop it.
 type Graph struct {
 	// Name labels the loop ("tomcatv/loop3").
 	Name string
@@ -89,9 +91,15 @@ type Graph struct {
 	// execution-time estimate. Must be ≥ 1.
 	Niter int
 
-	// out and in are adjacency lists of edge indices, built lazily.
-	out, in [][]int
-	dirty   bool
+	// Caches built lazily by buildAdj and dropped by AddNode and AddEdge:
+	// out and in are the adjacency lists of edge indices, fwd and bwd the
+	// relaxation plans of the forward and backward longest-path passes
+	// (plan.go), and recs the Recurrences result once computed.
+	out, in  [][]int
+	fwd, bwd []segment
+	recs     []Recurrence
+	recsOK   bool
+	dirty    bool
 }
 
 // New returns an empty DDG with the given name and profiled trip count.
@@ -209,28 +217,61 @@ func (g *Graph) acyclicDist0() bool {
 	return seen == n
 }
 
-// buildAdj populates the adjacency caches.
+// buildAdj populates the adjacency lists and the relaxation plans.
 func (g *Graph) buildAdj() {
 	if !g.dirty && g.out != nil {
 		return
 	}
 	n := len(g.Nodes)
-	g.out = make([][]int, n)
-	g.in = make([][]int, n)
-	for i, e := range g.Edges {
-		g.out[e.From] = append(g.out[e.From], i)
-		g.in[e.To] = append(g.in[e.To], i)
+	g.out, g.in = adjacency(n, g.Edges, true), adjacency(n, g.Edges, false)
+	comps := g.sccs()
+	compOf := make([]int, n)
+	for ci, comp := range comps {
+		for _, v := range comp {
+			compOf[v] = ci
+		}
 	}
+	g.fwd, g.bwd = g.buildPlan(comps, compOf, true), g.buildPlan(comps, compOf, false)
+	g.recs, g.recsOK = nil, false
 	g.dirty = false
 }
 
-// Freeze precomputes the lazily built adjacency caches so that subsequent
-// read-only use of the graph (Out, In and every analysis built on them) is
+// adjacency returns, per node, the indices of the edges leaving it (out)
+// or entering it (!out), in edge order, as sub-slices of one slab.
+func adjacency(n int, edges []Edge, out bool) [][]int {
+	end := func(e *Edge) int {
+		if out {
+			return e.From
+		}
+		return e.To
+	}
+	head := make([]int, n+1)
+	for i := range edges {
+		head[end(&edges[i])+1]++
+	}
+	for v := 0; v < n; v++ {
+		head[v+1] += head[v]
+	}
+	slab := make([]int, len(edges))
+	lists := make([][]int, n)
+	for v := range lists {
+		lists[v] = slab[head[v]:head[v]:head[v+1]]
+	}
+	for i := range edges {
+		v := end(&edges[i])
+		lists[v] = append(lists[v], i)
+	}
+	return lists
+}
+
+// Freeze precomputes every lazily built cache — the adjacency lists, the
+// relaxation plans and the recurrences — so that subsequent read-only use
+// of the graph (Out, In, Recurrences and every analysis built on them) is
 // safe for concurrent readers. The experiment harness calls this before
 // fanning a loop out to worker goroutines. Mutating the graph afterwards
-// (AddNode, AddEdge, AddDep) makes it unsafe for concurrent use again until
-// the next Freeze.
-func (g *Graph) Freeze() { g.buildAdj() }
+// (AddNode, AddEdge, AddDep) drops the caches and makes it unsafe for
+// concurrent use again until the next Freeze.
+func (g *Graph) Freeze() { g.Recurrences() }
 
 // Out returns the indices into Edges of v's outgoing edges.
 func (g *Graph) Out(v int) []int { g.buildAdj(); return g.out[v] }
@@ -302,19 +343,27 @@ func (g *Graph) RecMII(extra []int) int {
 func (g *Graph) recMIIInto(extra []int, t *Times) int {
 	// Upper bound: the latency of any cycle is at most the sum of all edge
 	// latencies, and every cycle has distance ≥ 1, so RecMII ≤ that sum.
-	lo, hi := 1, 1
+	hi := 1
 	for i, e := range g.Edges {
 		lat := e.Lat + extraAt(extra, i)
 		if lat > 0 {
 			hi += lat
 		}
 	}
-	if g.feasibleIIInto(lo, extra, t) {
+	return minFeasibleII(hi, func(ii int) bool { return g.feasibleIIInto(ii, extra, t) })
+}
+
+// minFeasibleII returns the smallest ii in [1, hi] at which feasible holds,
+// by binary search, given that feasibility is monotone in ii and holds at
+// hi.
+func minFeasibleII(hi int, feasible func(ii int) bool) int {
+	lo := 1
+	if feasible(lo) {
 		return lo
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if g.feasibleIIInto(mid, extra, t) {
+		if feasible(mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -333,37 +382,19 @@ func (g *Graph) MII(m *machine.Config) int {
 	return res
 }
 
-// longestPathsInto computes earliest start times consistent with II = ii
-// using Bellman-Ford longest-path relaxation over arcs of weight
-// lat − ii·dist, with every node's start clamped at ≥ 0. It reports
-// ok = false when a positive-weight cycle exists (ii below RecMII). The
-// relaxation runs in buf when its capacity suffices (the returned slice is
-// always the buffer actually used, so callers can retain it for reuse).
+// longestPathsInto computes earliest start times consistent with II = ii:
+// longest paths over arcs of weight lat − ii·dist, with every node's start
+// clamped at ≥ 0, relaxed along the graph's forward plan (plan.go). It
+// reports ok = false when a positive-weight cycle exists (ii below RecMII).
+// The relaxation runs in buf when its capacity suffices (the returned slice
+// is always the buffer actually used, so callers can retain it for reuse).
 func (g *Graph) longestPathsInto(ii int, extra []int, buf []int) (est []int, ok bool) {
-	n := len(g.Nodes)
-	est = resizeInts(buf, n)
+	g.buildAdj()
+	est = resizeInts(buf, len(g.Nodes))
 	for i := range est {
 		est[i] = 0 // every node may start at cycle 0
 	}
-	if n == 0 {
-		return est, true
-	}
-	for round := 0; ; round++ {
-		changed := false
-		for i, e := range g.Edges {
-			lat := e.Lat + extraAt(extra, i)
-			if t := est[e.From] + lat - ii*e.Dist; t > est[e.To] {
-				est[e.To] = t
-				changed = true
-			}
-		}
-		if !changed {
-			return est, true
-		}
-		if round >= n {
-			return est, false
-		}
-	}
+	return est, relax(g.fwd, ii, extra, est)
 }
 
 // Times bundles the per-node earliest and latest start times for a given II
@@ -422,32 +453,24 @@ func (g *Graph) earliestInto(m *machine.Config, ii int, extra []int, t *Times) b
 // skip this pass entirely — that is the point of the split: the refinement
 // inner loop completes the tie-break slacks only for candidate moves whose
 // primary key survives screening.
+//
+// The backward pass relaxes the negated start times along the reversed
+// arcs of the backward plan: lst[u] ≤ lst[v] − w for an edge u → v of
+// weight w is −lst[u] ≥ −lst[v] + w, a longest-path step. It reports false
+// on a positive cycle, which cannot happen when the forward pass succeeded
+// at t.II with the same extra.
 func (g *Graph) LatestInto(m *machine.Config, extra []int, t *Times) bool {
-	n := len(g.Nodes)
-	ii, sl := t.II, t.SL
-	lst := resizeInts(t.Latest, n)
+	g.buildAdj()
+	lst := resizeInts(t.Latest, len(g.Nodes))
 	t.Latest = lst
-	for v := 0; v < n; v++ {
-		lst[v] = sl - m.OpLatency(g.Nodes[v].Op)
+	for v := range lst {
+		lst[v] = m.OpLatency(g.Nodes[v].Op) - t.SL
 	}
-	for round := 0; ; round++ {
-		changed := false
-		for i, e := range g.Edges {
-			lat := e.Lat + extraAt(extra, i)
-			if t := lst[e.To] - lat + ii*e.Dist; t < lst[e.From] {
-				lst[e.From] = t
-				changed = true
-			}
-		}
-		if !changed {
-			return true
-		}
-		if round >= n {
-			// Cannot happen when the forward pass succeeded, but guard
-			// against inconsistent extra maps.
-			return false
-		}
+	ok := relax(g.bwd, t.II, extra, lst)
+	for v := range lst {
+		lst[v] = -lst[v]
 	}
+	return ok
 }
 
 // Slack returns the slack of edge ei under the given start times: the

@@ -414,7 +414,8 @@ func TestAddDepUsesProducerLatency(t *testing.T) {
 }
 
 // TestFreezeAllowsConcurrentReaders pins Freeze's contract: after a
-// Freeze, read-only analyses on the same graph are safe from multiple
+// Freeze, read-only analyses on the same graph, including the cached
+// recurrences and the plan-driven start times, are safe from multiple
 // goroutines (run under -race to enforce it).
 func TestFreezeAllowsConcurrentReaders(t *testing.T) {
 	g := New("conc", 100)
@@ -428,6 +429,7 @@ func TestFreezeAllowsConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Freeze()
+	m := machine.NewUnified(64)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -438,6 +440,8 @@ func TestFreezeAllowsConcurrentReaders(t *testing.T) {
 				_ = g.In(c)
 				_ = g.RecMII(nil)
 				_ = g.SCCs()
+				_ = g.Recurrences()
+				_, _ = g.StartTimes(m, 2, nil)
 			}
 		}()
 	}

@@ -18,23 +18,30 @@ type Recurrence struct {
 // SCCs returns the strongly connected components of the graph (Tarjan),
 // in reverse topological order of the condensation.
 func (g *Graph) SCCs() [][]int {
-	n := len(g.Nodes)
 	g.buildAdj()
+	return g.sccs()
+}
+
+// sccs is SCCs over the adjacency lists buildAdj has already built. The
+// components are sub-slices of one slab.
+func (g *Graph) sccs() [][]int {
+	n := len(g.Nodes)
 	index := make([]int, n)
 	low := make([]int, n)
 	onStack := make([]bool, n)
 	for i := range index {
 		index[i] = -1
 	}
-	var stack []int
-	var comps [][]int
+	stack := make([]int, 0, n)
+	slab := make([]int, 0, n)
+	comps := make([][]int, 0, n)
 	next := 0
 
 	// Iterative Tarjan to avoid recursion depth limits on long chains.
 	type frame struct {
 		v, ei int
 	}
-	var callStack []frame
+	callStack := make([]frame, 0, n)
 	for root := 0; root < n; root++ {
 		if index[root] != -1 {
 			continue
@@ -70,17 +77,17 @@ func (g *Graph) SCCs() [][]int {
 				}
 			}
 			if low[v] == index[v] {
-				var comp []int
+				start := len(slab)
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					comp = append(comp, w)
+					slab = append(slab, w)
 					if w == v {
 						break
 					}
 				}
-				comps = append(comps, comp)
+				comps = append(comps, slab[start:len(slab):len(slab)])
 			}
 		}
 	}
@@ -90,35 +97,22 @@ func (g *Graph) SCCs() [][]int {
 // Recurrences returns the graph's recurrences: SCCs that contain at least
 // one edge (a self-loop counts), each with the RecMII of its induced
 // subgraph. The slice is sorted by decreasing RecMII (ties: larger first
-// node ID last, for determinism).
+// node ID last, for determinism). It is computed once per graph (Freeze
+// computes it up front) and shared by every caller, so callers must treat
+// it, and each recurrence's Nodes, as read-only.
 func (g *Graph) Recurrences() []Recurrence {
-	comps := g.SCCs()
+	g.buildAdj()
+	if g.recsOK {
+		return g.recs
+	}
+	// Every segment of the forward plan but a trailing acyclic one holds
+	// one recurrence, its inner arcs being the induced subgraph's edges.
 	var recs []Recurrence
-	inComp := make([]int, len(g.Nodes))
-	for i := range inComp {
-		inComp[i] = -1
-	}
-	for ci, comp := range comps {
-		for _, v := range comp {
-			inComp[v] = ci
+	x := make([]int, len(g.Nodes))
+	for i := range g.fwd {
+		if s := &g.fwd[i]; len(s.inner) > 0 {
+			recs = append(recs, Recurrence{Nodes: s.nodes, RecMII: s.recMII(x)})
 		}
-	}
-	for ci, comp := range comps {
-		hasCycle := len(comp) > 1
-		if !hasCycle {
-			v := comp[0]
-			for _, ei := range g.Out(v) {
-				if g.Edges[ei].To == v {
-					hasCycle = true
-					break
-				}
-			}
-		}
-		if !hasCycle {
-			continue
-		}
-		sub := g.inducedSubgraph(comp, inComp, ci)
-		recs = append(recs, Recurrence{Nodes: comp, RecMII: sub.RecMII(nil)})
 	}
 	// Sort by decreasing RecMII; stable on first node ID for determinism.
 	for i := 1; i < len(recs); i++ {
@@ -126,6 +120,7 @@ func (g *Graph) Recurrences() []Recurrence {
 			recs[j-1], recs[j] = recs[j], recs[j-1]
 		}
 	}
+	g.recs, g.recsOK = recs, true
 	return recs
 }
 
@@ -134,20 +129,4 @@ func less(a, b Recurrence) bool {
 		return a.RecMII < b.RecMII
 	}
 	return a.Nodes[0] > b.Nodes[0]
-}
-
-// inducedSubgraph builds the subgraph over comp (component index ci in
-// inComp), remapping node IDs densely. Trip count is inherited.
-func (g *Graph) inducedSubgraph(comp []int, inComp []int, ci int) *Graph {
-	sub := New(g.Name+"/scc", g.Niter)
-	remap := make(map[int]int, len(comp))
-	for _, v := range comp {
-		remap[v] = sub.AddNode(g.Nodes[v].Op, g.Nodes[v].Name)
-	}
-	for _, e := range g.Edges {
-		if inComp[e.From] == ci && inComp[e.To] == ci {
-			sub.AddEdge(Edge{From: remap[e.From], To: remap[e.To], Lat: e.Lat, Dist: e.Dist, Kind: e.Kind})
-		}
-	}
-	return sub
 }

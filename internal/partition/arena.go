@@ -49,13 +49,16 @@ type Arena struct {
 	// until the next level's matching), collapseEdges accumulator and key
 	// order, fuse's remap table and matched-edge order.
 	match graph.Matcher
-	owner []int
+	owner []int // node → group of the level being built or refined
 	sum   map[[2]int]int64
 	keys  [][2]int
 	remap []int
 	idx   []int
 
-	// minimizeCut's CSR group adjacency.
+	// The refinement tables of the level being refined (indexLevel): each
+	// group's boundary data edges and its neighbor groups, as CSR pairs.
+	bndHead []int
+	bndList []int
 	nbrHead []int
 	nbrList []int
 	nbrFill []int

@@ -58,8 +58,8 @@ func TestPartitionWarmArenaAllocs(t *testing.T) {
 
 // TestEvaluateAllocFree pins the steady-state estimators on the generated
 // loop: once their scratch is warm, a full evaluate, the refinement's
-// move → estimate → undo step and its screened move → lowerBoundT → undo
-// step allocate nothing.
+// move → estimate → undo step and its read-only screening probe, for a
+// single move and for an interchange, allocate nothing.
 func TestEvaluateAllocFree(t *testing.T) {
 	g := generatedLoop()
 	m := machine.MustClustered(4, 64, 1, 2)
@@ -74,21 +74,26 @@ func TestEvaluateAllocFree(t *testing.T) {
 	}
 
 	p.computeWeights(ii)
-	en := newEngine(p, slices.Clone(assign))
-	group := []int{0}
+	assign = slices.Clone(assign)
+	en := newEngine(p, assign)
+	lv := &level{groups: make([][]int, g.N())}
+	for v := range lv.groups {
+		lv.groups[v] = []int{v}
+	}
+	p.indexLevel(lv)
 	for _, step := range []struct {
-		name  string
-		probe func()
+		name string
+		run  func()
 	}{
-		{"move → estimate → undo", func() { en.estimate(ii) }},
-		{"move → lowerBoundT → undo", func() { en.lowerBoundT(ii) }},
+		{"move → estimate → undo", func() {
+			en.move(lv.groups[0], p.boundary(0), 1)
+			en.estimate(ii)
+			en.move(lv.groups[0], p.boundary(0), 0)
+		}},
+		{"single-move probe", func() { en.lowerBoundAfter(lv, ii, 0, 1, -1) }},
+		{"interchange probe", func() { en.lowerBoundAfter(lv, ii, 0, 1, 1) }},
 	} {
-		got := testing.AllocsPerRun(10, func() {
-			en.move(group, 1)
-			step.probe()
-			en.move(group, 0)
-		})
-		if got != 0 {
+		if got := testing.AllocsPerRun(10, step.run); got != 0 {
 			t.Errorf("%s: %v allocs, want 0", step.name, got)
 		}
 	}

@@ -63,38 +63,42 @@ func BenchmarkEvaluate(b *testing.B) {
 }
 
 // BenchmarkEngineEvaluate measures the incremental path the refinement
-// inner loop actually takes: one group move, the full estimate, and the
-// undo move. Steady state must be allocation-free.
+// inner loop takes for a candidate the screen cannot reject: one group
+// move, the full estimate, and the undo move. Steady state must be
+// allocation-free.
 func BenchmarkEngineEvaluate(b *testing.B) {
-	r := rand.New(rand.NewSource(65))
-	g := randomDAG(r, 60)
-	m := machine.MustClustered(4, 64, 1, 1)
-	ii := g.MII(m)
-	p := New(g, m, nil)
-	p.computeWeights(ii)
-	assign := make([]int, g.N())
-	for v := range assign {
-		assign[v] = v % 4
-	}
-	en := newEngine(p, assign)
-	group := []int{0}
+	en, lv, ii := benchEngine(65)
+	p := en.p
 	// One full warm-up round: steady state is 0 allocs/op.
-	en.move(group, 1)
+	en.move(lv.groups[0], p.boundary(0), 1)
 	en.estimate(ii)
-	en.move(group, 0)
+	en.move(lv.groups[0], p.boundary(0), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		en.move(group, 1)
+		en.move(lv.groups[0], p.boundary(0), 1)
 		en.estimate(ii)
-		en.move(group, 0)
+		en.move(lv.groups[0], p.boundary(0), 0)
 	}
 }
 
-// BenchmarkEngineScreen measures the screened probe (move + lower bound +
-// undo) that rejects most refinement candidates without a time estimate.
+// BenchmarkEngineScreen measures the read-only screening probe that
+// rejects most refinement candidates without applying them.
 func BenchmarkEngineScreen(b *testing.B) {
-	r := rand.New(rand.NewSource(66))
+	en, lv, ii := benchEngine(66)
+	en.lowerBoundAfter(lv, ii, 0, 1, -1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		en.lowerBoundAfter(lv, ii, 0, 1, -1)
+	}
+}
+
+// benchEngine returns an engine over a random 60-node loop on four
+// clusters, assigned round-robin, and the finest level (one node per
+// group) indexed for refinement.
+func benchEngine(seed int64) (*engine, *level, int) {
+	r := rand.New(rand.NewSource(seed))
 	g := randomDAG(r, 60)
 	m := machine.MustClustered(4, 64, 1, 1)
 	ii := g.MII(m)
@@ -105,15 +109,10 @@ func BenchmarkEngineScreen(b *testing.B) {
 		assign[v] = v % 4
 	}
 	en := newEngine(p, assign)
-	group := []int{0}
-	en.move(group, 1)
-	en.lowerBoundT(ii)
-	en.move(group, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		en.move(group, 1)
-		en.lowerBoundT(ii)
-		en.move(group, 0)
+	lv := &level{groups: make([][]int, g.N())}
+	for v := range lv.groups {
+		lv.groups[v] = []int{v}
 	}
+	p.indexLevel(lv)
+	return en, lv, ii
 }

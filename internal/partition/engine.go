@@ -5,10 +5,17 @@
 // interconnect tallies from the full assignment for every probe is
 // O(candidates × (V+E)) before the longest-path analysis even starts. The
 // engine instead delta-maintains that state under an apply/undo move API:
-// moving a macro-node touches only its incident data edges, so the cheap
-// screening bound below is O(affected edges + clusters) per candidate and
-// the expensive time estimate runs only for candidates the bound cannot
-// reject.
+// moving a macro-node touches only its boundary data edges (those with
+// exactly one endpoint in it, listed per group by the refinement level's
+// tables), so the time estimate pays O(boundary edges) for the move and
+// the undo around its longest-path analysis.
+//
+// Most candidates never get that far. lowerBoundAfter screens a single
+// move or an interchange without applying it: from the groups' unit counts
+// and their boundary edges it derives the resource II and the bus or link
+// II the move would leave, and from those a proven lower bound on the
+// execution time. Only the candidates the bound cannot reject are applied,
+// estimated and undone.
 //
 // Invariants (held between moves, checked by the engine equivalence test):
 //   - cut[ei] ⇔ edge ei is a Data edge with endpoints in different clusters
@@ -19,10 +26,11 @@
 //     nComm = |{v : crossOut[v] > 0}|
 //   - point-to-point only: destCnt[v·C+d] = cut out-edges of v into cluster
 //     d; perLink[h·C+d] = |{(v,d) : assign[v]=h, destCnt[v·C+d] > 0}|
+//   - between probes, the probe scratch dOut, dDest and dLink is all zero
 //
-// move(members, c2) is an exact inverse of move(members, c1): every tally
-// is integral and updated symmetrically, so apply → undo restores the
-// state bit for bit.
+// move(members, bnd, c2) is an exact inverse of move(members, bnd, c1):
+// every tally is integral and updated symmetrically, so apply → undo
+// restores the state bit for bit, and a probe leaves it untouched.
 package partition
 
 import (
@@ -46,9 +54,13 @@ type engine struct {
 	destCnt  []int // node·C+dest tallies (point-to-point only, else nil)
 	perLink  []int // home·C+dest distinct-transfer counts (p2p only)
 
-	mark    []int // per-edge visit stamps for move's dedupe
-	epoch   int
-	touched []int // edges incident to the moving group, deduplicated
+	// Probe scratch (lowerBoundAfter): an interchange's boundary edges,
+	// and the candidate's changes to crossOut (shared bus) or to destCnt
+	// and perLink (point-to-point), all zero between probes.
+	cand  []int
+	dOut  []int
+	dDest []int
+	dLink []int
 
 	times ddg.Times // reusable start-time buffers for estimate
 }
@@ -72,15 +84,11 @@ func (en *engine) reset(assign []int) {
 
 	en.cut = resizeBools(en.cut, nE)
 	en.extra = resizeInts(en.extra, nE)
-	en.mark = resizeInts(en.mark, nE)
 	for i := 0; i < nE; i++ {
-		en.cut[i], en.extra[i], en.mark[i] = false, 0, 0
+		en.cut[i], en.extra[i] = false, 0
 	}
-	en.epoch = 0
-	en.crossOut = resizeInts(en.crossOut, n)
-	for i := range en.crossOut {
-		en.crossOut[i] = 0
-	}
+	en.crossOut = zeroInts(en.crossOut, n)
+	en.dOut = zeroInts(en.dOut, n)
 	if cap(en.counts) >= c {
 		en.counts = en.counts[:c]
 	} else {
@@ -91,14 +99,10 @@ func (en *engine) reset(assign []int) {
 	}
 	en.destCnt, en.perLink = nil, nil
 	if m.Topology == machine.PointToPoint {
-		en.destCnt = resizeInts(en.destCnt, n*c)
-		en.perLink = resizeInts(en.perLink, c*c)
-		for i := range en.destCnt {
-			en.destCnt[i] = 0
-		}
-		for i := range en.perLink {
-			en.perLink[i] = 0
-		}
+		en.destCnt = zeroInts(en.destCnt, n*c)
+		en.perLink = zeroInts(en.perLink, c*c)
+		en.dDest = zeroInts(en.dDest, n*c)
+		en.dLink = zeroInts(en.dLink, c*c)
 	}
 	en.nCut, en.nComm = 0, 0
 
@@ -157,27 +161,12 @@ func (en *engine) retire(ei int) {
 }
 
 // move reassigns every member of one macro-node to cluster c2, updating the
-// state in O(incident data edges). Undo is move(members, c1) with the
-// original cluster.
-func (en *engine) move(members []int, c2 int) {
+// state in O(|members| + |bnd|). bnd lists the group's boundary data edges,
+// each once: edges with both endpoints in the group stay uncut wherever it
+// goes. Undo is move(members, bnd, c1) with the original cluster.
+func (en *engine) move(members, bnd []int, c2 int) {
 	g := en.p.g
-	en.epoch++
-	en.touched = en.touched[:0]
-	for _, v := range members {
-		for _, ei := range g.Out(v) {
-			if g.Edges[ei].Kind == ddg.Data && en.mark[ei] != en.epoch {
-				en.mark[ei] = en.epoch
-				en.touched = append(en.touched, ei)
-			}
-		}
-		for _, ei := range g.In(v) {
-			if g.Edges[ei].Kind == ddg.Data && en.mark[ei] != en.epoch {
-				en.mark[ei] = en.epoch
-				en.touched = append(en.touched, ei)
-			}
-		}
-	}
-	for _, ei := range en.touched {
+	for _, ei := range bnd {
 		en.retire(ei)
 	}
 	for _, v := range members {
@@ -186,7 +175,7 @@ func (en *engine) move(members []int, c2 int) {
 		en.counts[c2][k]++
 		en.assign[v] = c2
 	}
-	for _, ei := range en.touched {
+	for _, ei := range bnd {
 		en.admit(ei)
 	}
 }
@@ -275,22 +264,152 @@ func (en *engine) finishSlack(est *estimate) {
 	}
 }
 
-// lowerBoundT returns a proven lower bound on estimate(ii).t for the
-// current assignment without running the longest-path analysis: the
-// estimator never uses an II below max(ii, resource MII, interconnect II),
-// and the schedule length is at least the largest single-operation latency
-// (every node starts at cycle ≥ 0), so T = (niter−1)·II + SL is bounded
-// below accordingly. The register-aware pass can only raise the II, so the
-// bound holds there too.
-func (en *engine) lowerBoundT(ii int) int64 {
+// timeBound returns a proven lower bound on the estimate's execution time
+// for an assignment with resource MII resII and interconnect II iiBus,
+// without running the longest-path analysis: the estimator never uses an
+// II below max(ii, resII, iiBus), and the schedule length is at least the
+// largest single-operation latency (every node starts at cycle ≥ 0), so
+// T = (niter−1)·II + SL is bounded below accordingly. The register-aware
+// pass can only raise the II, so the bound holds there too.
+func (p *Partitioner) timeBound(ii, resII, iiBus int) int64 {
+	return int64(p.g.Niter-1)*int64(max(ii, resII, iiBus)) + int64(p.maxOpLat)
+}
+
+// lowerBoundAfter returns timeBound for the assignment the refinement
+// candidate would leave — group gi of level lv moved to cluster c2 and,
+// when gj ≥ 0, group gj moved to gi's cluster — without applying it: the
+// engine's state is only read, and the probe scratch is left zeroed. It
+// needs the level's tables (indexLevel).
+func (en *engine) lowerBoundAfter(lv *level, ii, gi, c2, gj int) int64 {
 	p := en.p
-	iiBus, _ := en.xfer()
-	base := ii
-	if resII := resIIFrom(p.m, en.counts); resII > base {
-		base = resII
+	c1 := en.assign[lv.groups[gi][0]]
+	gcs := p.groupCountsOf(lv)
+	d := gcs[gi]
+	if gj >= 0 {
+		for k := range d {
+			d[k] -= gcs[gj][k]
+		}
 	}
-	if iiBus > base {
-		base = iiBus
+	return p.timeBound(ii, resIIMoved(p.m, en.counts, c1, c2, d), en.xferAfter(lv, gi, c1, c2, gj))
+}
+
+// xferAfter returns the interconnect II bound xfer would report after the
+// candidate lowerBoundAfter describes. Only the candidate's boundary edges
+// can change cut state, and only their sources' crossOut and destCnt
+// tallies; those changes accumulate in the probe scratch, and each touched
+// tally's zero crossing is then applied once (its scratch entry is zeroed
+// on the way, so a later visit skips it).
+func (en *engine) xferAfter(lv *level, gi, c1, c2, gj int) int {
+	p := en.p
+	g, m, owner := p.g, p.m, p.ar.owner
+	if m.Clusters <= 1 || m.NBus == 0 {
+		return 0
 	}
-	return int64(p.g.Niter-1)*int64(base) + int64(p.maxOpLat)
+	// after is a node's cluster once the candidate is applied.
+	after := func(v int) int {
+		switch owner[v] {
+		case gi:
+			return c2
+		case gj:
+			return c1
+		}
+		return en.assign[v]
+	}
+	edges := p.boundary(gi)
+	if gj >= 0 {
+		// An interchange moves gj too. An edge between the two groups is
+		// on both lists, and counting it twice changes nothing: it is cut
+		// before and after, so the shared bus sees no change, and on
+		// point-to-point links it adds only to pairs of a moving source
+		// whose outcome is settled anyway: (source, new cluster) ends at
+		// zero, (source, old cluster) above zero.
+		edges = append(append(en.cand[:0], edges...), p.boundary(gj)...)
+		en.cand = edges
+	}
+	occ := m.XferOccupancy()
+
+	if en.destCnt == nil {
+		// Shared bus: nComm counts the nodes with a cut outgoing edge.
+		for _, ei := range edges {
+			e := &g.Edges[ei]
+			if cut := after(e.From) != after(e.To); cut != en.cut[ei] {
+				if cut {
+					en.dOut[e.From]++
+				} else {
+					en.dOut[e.From]--
+				}
+			}
+		}
+		nComm := en.nComm
+		for _, ei := range edges {
+			v := g.Edges[ei].From
+			if d := en.dOut[v]; d != 0 {
+				en.dOut[v] = 0
+				nComm += b2i(en.crossOut[v]+d > 0) - b2i(en.crossOut[v] > 0)
+			}
+		}
+		return ceilDiv(nComm*occ, m.NBus)
+	}
+
+	// Point-to-point: perLink counts the (source, destination cluster)
+	// pairs with a cut edge on the link out of the source's cluster.
+	c := m.Clusters
+	for _, ei := range edges {
+		e := &g.Edges[ei]
+		if en.cut[ei] {
+			en.dDest[e.From*c+en.assign[e.To]]--
+		}
+		if hf, ht := after(e.From), after(e.To); hf != ht {
+			en.dDest[e.From*c+ht]++
+		}
+	}
+	// A moving node's pairs all change links, whether or not their counts
+	// change: its cut edges all cross the group boundary, so every pair it
+	// has, before or after, is in its row of dDest's domain.
+	for _, gk := range [2]int{gi, gj} {
+		if gk < 0 {
+			continue
+		}
+		for _, v := range lv.groups[gk] {
+			from, to := en.assign[v]*c, after(v)*c
+			for d := 0; d < c; d++ {
+				k := v*c + d
+				en.dLink[from+d] -= b2i(en.destCnt[k] > 0)
+				en.dLink[to+d] += b2i(en.destCnt[k]+en.dDest[k] > 0)
+				en.dDest[k] = 0
+			}
+		}
+	}
+	// A staying source keeps its link row; a pair changes only when its
+	// count crosses zero. Its edge's destination moves, so both the old
+	// and the new destination cluster may have changed.
+	for _, ei := range edges {
+		e := &g.Edges[ei]
+		if o := owner[e.From]; o == gi || o == gj {
+			continue
+		}
+		row := en.assign[e.From] * c
+		for _, d := range [2]int{en.assign[e.To], after(e.To)} {
+			k := e.From*c + d
+			if dd := en.dDest[k]; dd != 0 {
+				en.dDest[k] = 0
+				en.dLink[row+d] += b2i(en.destCnt[k]+dd > 0) - b2i(en.destCnt[k] > 0)
+			}
+		}
+	}
+	iiBus := 0
+	for l, cnt := range en.perLink {
+		if v := ceilDiv((cnt+en.dLink[l])*occ, m.NBus); v > iiBus {
+			iiBus = v
+		}
+		en.dLink[l] = 0
+	}
+	return iiBus
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -24,12 +26,63 @@ func engineMachines() []*machine.Config {
 		RegsPerCluster: p2p.RegsPerCluster, NBus: 1, LatBus: 2,
 		Topology: machine.PointToPoint, Latency: p2p.Latency,
 	}
+	pipe := machine.MustClustered(4, 64, 1, 2)
+	pipe.Pipelined = true
 	return []*machine.Config{
 		machine.MustClustered(2, 32, 1, 1),
 		machine.MustClustered(4, 64, 1, 2),
 		machine.MustClustered(4, 32, 2, 1),
 		p2p,
+		pipe,
 	}
+}
+
+// engineState is a copy of every delta-maintained field of an engine.
+type engineState struct {
+	assign, extra, crossOut, destCnt, perLink []int
+	cut                                       []bool
+	counts                                    [][isa.NumUnitKinds]int
+	nCut, nComm                               int
+}
+
+func snapshot(en *engine) engineState {
+	return engineState{
+		assign: slices.Clone(en.assign), extra: slices.Clone(en.extra),
+		crossOut: slices.Clone(en.crossOut), destCnt: slices.Clone(en.destCnt),
+		perLink: slices.Clone(en.perLink), cut: slices.Clone(en.cut),
+		counts: slices.Clone(en.counts), nCut: en.nCut, nComm: en.nComm,
+	}
+}
+
+// probeScratchClear reports whether the probe scratch is all zero, as the
+// next probe requires.
+func probeScratchClear(en *engine) bool {
+	for _, s := range [][]int{en.dOut, en.dDest, en.dLink} {
+		if slices.ContainsFunc(s, func(x int) bool { return x != 0 }) {
+			return false
+		}
+	}
+	return true
+}
+
+// boundaryOf lists the data edges with exactly one endpoint in members:
+// what indexLevel lists for a group.
+func boundaryOf(g *ddg.Graph, members []int) []int {
+	var bnd []int
+	for ei, e := range g.Edges {
+		if e.Kind == ddg.Data && slices.Contains(members, e.From) != slices.Contains(members, e.To) {
+			bnd = append(bnd, ei)
+		}
+	}
+	return bnd
+}
+
+// lowerBoundT is the screening bound of the engine's current assignment,
+// from its maintained tallies: what lowerBoundAfter must return for a
+// candidate once the candidate is applied.
+func (en *engine) lowerBoundT(ii int) int64 {
+	iiBus, _ := en.xfer()
+	return en.p.timeBound(ii, resIIFrom(en.p.m, en.counts), iiBus)
 }
 
 // estimatesEqual compares every field the selection logic can observe.
@@ -46,7 +99,8 @@ func TestEngineStateMatchesRebuild(t *testing.T) {
 	f := func(seed int64, mIdx uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomDAG(r, 5+r.Intn(35))
-		m := engineMachines()[int(mIdx)%4]
+		ms := engineMachines()
+		m := ms[int(mIdx)%len(ms)]
 		p := New(g, m, nil)
 		ii := g.MII(m)
 		p.computeWeights(ii)
@@ -74,53 +128,110 @@ func TestEngineStateMatchesRebuild(t *testing.T) {
 			if n := 1 + r.Intn(3); len(members) > n {
 				members = members[:n]
 			}
+			bnd := boundaryOf(g, members)
 			c2 := r.Intn(m.Clusters)
-			en.move(members, c2)
+			en.move(members, bnd, c2)
 
 			fresh := newEngine(New(g, m, nil), append([]int(nil), assign...))
-			if en.nCut != fresh.nCut || en.nComm != fresh.nComm {
+			if !reflect.DeepEqual(snapshot(en), snapshot(fresh)) {
 				return false
-			}
-			for i := range g.Edges {
-				if en.cut[i] != fresh.cut[i] || en.extra[i] != fresh.extra[i] {
-					return false
-				}
-			}
-			for c := 0; c < m.Clusters; c++ {
-				if en.counts[c] != fresh.counts[c] {
-					return false
-				}
-			}
-			for v := range g.Nodes {
-				if en.crossOut[v] != fresh.crossOut[v] {
-					return false
-				}
-			}
-			if m.Topology == machine.PointToPoint {
-				for i := range en.perLink {
-					if en.perLink[i] != fresh.perLink[i] {
-						return false
-					}
-				}
-				for i := range en.destCnt {
-					if en.destCnt[i] != fresh.destCnt[i] {
-						return false
-					}
-				}
 			}
 			if !estimatesEqual(en.estimate(ii), p.evaluate(assign, ii)) {
 				return false
 			}
 			// Undo must restore the state exactly (spot-check via estimate).
-			en.move(members, c1)
+			en.move(members, bnd, c1)
 			if !estimatesEqual(en.estimate(ii), p.evaluate(assign, ii)) {
 				return false
 			}
-			en.move(members, c2) // keep the move and continue
+			en.move(members, bnd, c2) // keep the move and continue
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomLevel groups the nodes of assign into macro-nodes of 1-3 members
+// that share a cluster, and builds the level's refinement tables.
+func randomLevel(r *rand.Rand, p *Partitioner, assign []int) *level {
+	byCluster := make([][]int, p.m.Clusters)
+	for v, c := range assign {
+		byCluster[c] = append(byCluster[c], v)
+	}
+	lv := &level{}
+	for _, nodes := range byCluster {
+		r.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+		for len(nodes) > 0 {
+			k := min(len(nodes), 1+r.Intn(3))
+			lv.groups = append(lv.groups, nodes[:k])
+			nodes = nodes[k:]
+		}
+	}
+	p.indexLevel(lv)
+	return lv
+}
+
+// TestProbeMatchesAppliedMove pins the read-only screening probe: for every
+// single move of every group to every other cluster, and every interchange
+// with a group there, lowerBoundAfter returns exactly the lowerBoundT the
+// engine reports with the candidate applied, and leaves the engine's
+// state, and its zeroed scratch, exactly as it found them. The machines
+// cover the shared bus, the pipelined bus and point-to-point links.
+func TestProbeMatchesAppliedMove(t *testing.T) {
+	ms := engineMachines()
+	f := func(seed int64, mIdx uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := randomDAG(r, 4+r.Intn(30))
+		m := ms[int(mIdx)%len(ms)]
+		p := New(g, m, nil)
+		ii := g.MII(m) + r.Intn(3)
+		assign := make([]int, g.N())
+		for v := range assign {
+			assign[v] = r.Intn(m.Clusters)
+		}
+		en := newEngine(p, assign)
+		lv := randomLevel(r, p, assign)
+		for gi, members := range lv.groups {
+			c1 := assign[members[0]]
+			for c2 := 0; c2 < m.Clusters; c2++ {
+				if c2 == c1 {
+					continue
+				}
+				for gj := -1; gj < len(lv.groups); gj++ {
+					if gj >= 0 && assign[lv.groups[gj][0]] != c2 {
+						continue
+					}
+					before := snapshot(en)
+					got := en.lowerBoundAfter(lv, ii, gi, c2, gj)
+					if !reflect.DeepEqual(snapshot(en), before) || !probeScratchClear(en) {
+						t.Logf("seed %d on %s: probing group %d → %d (swap %d) changed the engine", seed, m.Name, gi, c2, gj)
+						return false
+					}
+					en.move(members, p.boundary(gi), c2)
+					if gj >= 0 {
+						en.move(lv.groups[gj], p.boundary(gj), c1)
+					}
+					want := en.lowerBoundT(ii)
+					if gj >= 0 {
+						en.move(lv.groups[gj], p.boundary(gj), c2)
+					}
+					en.move(members, p.boundary(gi), c1)
+					if got != want {
+						t.Logf("seed %d on %s: group %d → %d (swap %d): probe %d, applied %d", seed, m.Name, gi, c2, gj, got, want)
+						return false
+					}
+					if !reflect.DeepEqual(snapshot(en), before) {
+						t.Logf("seed %d on %s: apply and undo of group %d → %d (swap %d) changed the engine", seed, m.Name, gi, c2, gj)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -132,7 +243,8 @@ func TestLowerBoundSound(t *testing.T) {
 	f := func(seed int64, mIdx uint8, regAware bool) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomDAG(r, 4+r.Intn(30))
-		m := engineMachines()[int(mIdx)%4]
+		ms := engineMachines()
+		m := ms[int(mIdx)%len(ms)]
 		opts := &Options{RegisterAware: regAware}
 		p := New(g, m, opts)
 		ii := g.MII(m)
@@ -170,7 +282,8 @@ func TestEngineMoveSequenceEquivalence(t *testing.T) {
 	f := func(seed int64, mIdx uint8, optBits uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomDAG(r, 4+r.Intn(40))
-		m := engineMachines()[int(mIdx)%4]
+		ms := engineMachines()
+		m := ms[int(mIdx)%len(ms)]
 		opts := &Options{
 			Weights:        WeightScheme(optBits & 1),
 			RegisterAware:  optBits&2 != 0,
@@ -240,6 +353,7 @@ func TestBalanceFirstFit(t *testing.T) {
 		p.computeWeights(1)
 		assign := []int{0, 1, 2, 1} // FP op in cluster 0; glue elsewhere
 		lv := &level{groups: [][]int{{0}, {1}, {2}, {3}}}
+		p.indexLevel(lv)
 		return p, assign, lv
 	}
 

@@ -217,6 +217,7 @@ func (p *Partitioner) Partition(ii int) *Result {
 	en := newEngine(p, res.Assign)
 	for li := len(levels) - 1; li >= 0; li-- {
 		lv := levels[li]
+		p.indexLevel(lv)
 		res.Moves += p.balance(lv, en, ii)
 		if !p.opts.SkipRefinement {
 			res.Moves += p.minimizeCut(lv, en, ii)

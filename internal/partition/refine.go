@@ -41,7 +41,6 @@ type scratch struct {
 	times    ddg.Times               // start-time buffers for the estimator
 	lifetime []int64                 // spillPressureII per-cluster lifetimes
 	xfer     xferScratch             // interconnect-tally buffers
-	owner    []int                   // node → group, per level
 	dests    []int                   // candidate destination clusters
 	destSeen []bool                  // per-cluster dedupe marks
 	slack    []int                   // computeWeights per-edge slack
@@ -105,10 +104,24 @@ func (p *Partitioner) evaluate(assign []int, ii int) estimate {
 // resIIFrom returns the per-cluster resource MII (heterogeneous unit mixes:
 // each cluster is bounded by its own units).
 func resIIFrom(m *machine.Config, counts [][isa.NumUnitKinds]int) int {
+	return resIIMoved(m, counts, 0, 0, [isa.NumUnitKinds]int{})
+}
+
+// resIIMoved is resIIFrom for counts with d's operations moved from
+// cluster c1 to cluster c2 (d may be negative: an interchange moves the
+// difference of the two groups' counts), without modifying counts.
+func resIIMoved(m *machine.Config, counts [][isa.NumUnitKinds]int, c1, c2 int, d [isa.NumUnitKinds]int) int {
 	resII := 1
 	for c := 0; c < m.Clusters; c++ {
 		for k := 0; k < isa.NumUnitKinds; k++ {
-			if counts[c][k] == 0 {
+			cnt := counts[c][k]
+			switch c {
+			case c1:
+				cnt -= d[k]
+			case c2:
+				cnt += d[k]
+			}
+			if cnt == 0 {
 				continue
 			}
 			units := m.UnitsIn(c, isa.UnitKind(k))
@@ -116,7 +129,7 @@ func resIIFrom(m *machine.Config, counts [][isa.NumUnitKinds]int) int {
 				resII = 1 << 20 // unschedulable partition
 				continue
 			}
-			if v := ceilDiv(counts[c][k], units); v > resII {
+			if v := ceilDiv(cnt, units); v > resII {
 				resII = v
 			}
 		}
@@ -309,7 +322,7 @@ func (p *Partitioner) balance(lv *level, en *engine, ii int) int {
 			// level (paper: "we wait for the next step").
 			return moves
 		}
-		en.move(lv.groups[bestGi], bestC2)
+		en.move(lv.groups[bestGi], p.boundary(bestGi), bestC2)
 		moves++
 	}
 	return moves
@@ -322,9 +335,10 @@ func (p *Partitioner) balance(lv *level, en *engine, ii int) int {
 // slack of cut edges, then minimize the cut size); stop when no
 // transformation has positive benefit.
 //
-// Candidate evaluation is incremental: each candidate is applied to the
-// engine (O(affected edges)), screened against a proven lower bound on its
-// execution time, fully estimated only when the bound cannot rule it out,
+// Candidate evaluation is incremental: each candidate is first screened
+// against a proven lower bound on its execution time, computed without
+// applying it (engine.lowerBoundAfter), and only when the bound cannot
+// rule it out is it applied to the engine (O(boundary edges)), estimated
 // and undone. The screen is conservative — a rejected candidate's true
 // estimate is strictly worse than the incumbent's on the primary key — so
 // the chosen move sequence is identical to exhaustive full evaluation
@@ -334,18 +348,7 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 	moves := 0
 	limit := p.maxMoves()
 	gcs := p.groupCountsOf(lv)
-
-	owner := resizeInts(p.sc.owner, p.g.N())
-	p.sc.owner = owner
-	for gi, members := range lv.groups {
-		for _, v := range members {
-			owner[v] = gi
-		}
-	}
-	// Neighbor groups via original data edges: a sorted, deduplicated CSR
-	// adjacency built once per level, so the per-iteration scans below are
-	// deterministic and allocation-free.
-	nbrHead, nbrList := p.buildGroupAdjacency(owner, len(lv.groups))
+	nbrHead, nbrList := p.ar.nbrHead, p.ar.nbrList
 	p.sc.destSeen = resizeBools(p.sc.destSeen, m.Clusters)
 	for i := range p.sc.destSeen {
 		p.sc.destSeen[i] = false
@@ -364,44 +367,62 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 		var best move
 		haveBest := false
 
-		consider := func(mv move, e estimate) {
-			if !haveBest || e.better(best.est) {
-				mv.est = e
-				best = mv
-				haveBest = true
+		// apply performs a candidate on the engine; undo reverses it.
+		apply := func(mv move) (c1 int) {
+			c1 = en.assign[lv.groups[mv.gi][0]]
+			en.move(lv.groups[mv.gi], p.boundary(mv.gi), mv.c2)
+			if mv.swapGj >= 0 {
+				en.move(lv.groups[mv.swapGj], p.boundary(mv.swapGj), c1)
 			}
+			return c1
+		}
+		undo := func(mv move, c1 int) {
+			if mv.swapGj >= 0 {
+				en.move(lv.groups[mv.swapGj], p.boundary(mv.swapGj), mv.c2)
+			}
+			en.move(lv.groups[mv.gi], p.boundary(mv.gi), c1)
 		}
 
-		// evalCandidate estimates the move just applied to the engine, in
-		// three stages of increasing cost, each rejecting only candidates
-		// that provably cannot change the chosen move. A candidate is
-		// applied only when its t is strictly below cur.t, and displaces
-		// the incumbent only when it at least ties best's t — so t ≥ cur.t
-		// (or a lower bound on t ≥ cur.t) rules a candidate out entirely:
-		// any real winner beats it on the primary key, and when no winner
-		// exists the iteration terminates identically. The stages:
-		//  1. a closed-form lower bound on t from the maintained tallies,
+		// consider estimates one candidate in three stages of increasing
+		// cost, each rejecting only candidates that provably cannot change
+		// the chosen move. The best candidate is taken only when its t is
+		// strictly below cur.t, and a candidate displaces the incumbent
+		// only when it at least ties best's t — so t ≥ cur.t (or a lower
+		// bound on t ≥ cur.t) rules a candidate out entirely: any real
+		// winner beats it on the primary key, and when no winner exists the
+		// iteration terminates identically. The stages:
+		//  1. a closed-form lower bound on t, probed without applying the
+		//     candidate,
 		//  2. the exact t (forward longest-path analysis only),
 		//  3. the cut-slack tie-break (ALAP pass), computed last and only
 		//     for candidates still in the running.
-		evalCandidate := func() (estimate, bool) {
+		// Under debugFullEval every candidate is applied and evaluated in
+		// full.
+		consider := func(mv move) {
+			if !p.debugFullEval {
+				lb := en.lowerBoundAfter(lv, ii, mv.gi, mv.c2, mv.swapGj)
+				if lb >= cur.t || (haveBest && lb > best.est.t) {
+					p.screenLB++
+					return
+				}
+			}
+			c1 := apply(mv)
+			inRunning := true
 			if p.debugFullEval {
 				p.screenFull++
-				return p.evaluate(en.assign, ii), true
-			}
-			lb := en.lowerBoundT(ii)
-			if lb >= cur.t || (haveBest && lb > best.est.t) {
-				p.screenLB++
-				return estimate{}, false
-			}
-			e := en.estimateFast(ii)
-			if e.t >= cur.t || (haveBest && e.t > best.est.t) {
+				mv.est = p.evaluate(en.assign, ii)
+			} else if mv.est = en.estimateFast(ii); mv.est.t >= cur.t || (haveBest && mv.est.t > best.est.t) {
 				p.screenExact++
-				return estimate{}, false
+				inRunning = false
+			} else {
+				p.screenFull++
+				en.finishSlack(&mv.est)
 			}
-			p.screenFull++
-			en.finishSlack(&e)
-			return e, true
+			undo(mv, c1)
+			if inRunning && (!haveBest || mv.est.better(best.est)) {
+				best = mv
+				haveBest = true
+			}
 		}
 
 		fits := func(gc [isa.NumUnitKinds]int, c2 int, minus [isa.NumUnitKinds]int) bool {
@@ -445,11 +466,7 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 			sortInts(dests)
 			for _, c2 := range dests {
 				if fits(gc, c2, [isa.NumUnitKinds]int{}) {
-					en.move(members, c2)
-					if e, ok := evalCandidate(); ok {
-						consider(move{gi: gi, c2: c2, swapGj: -1}, e)
-					}
-					en.move(members, c1)
+					consider(move{gi: gi, c2: c2, swapGj: -1})
 					continue
 				}
 				// Single move does not fit: consider interchanges with
@@ -464,13 +481,7 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 					if !fits(gc, c2, oc) || !fitsReverse(p, counts, oc, gc, c1, capII) {
 						continue
 					}
-					en.move(members, c2)
-					en.move(other, c1)
-					if e, ok := evalCandidate(); ok {
-						consider(move{gi: gi, c2: c2, swapGj: gj}, e)
-					}
-					en.move(other, c2)
-					en.move(members, c1)
+					consider(move{gi: gi, c2: c2, swapGj: gj})
 				}
 			}
 		}
@@ -478,82 +489,76 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 		if !haveBest || !best.est.better(cur) || best.est.t >= cur.t {
 			return moves // no strictly positive execution-time benefit
 		}
-		members := lv.groups[best.gi]
-		c1 := en.assign[members[0]]
-		en.move(members, best.c2)
-		if best.swapGj >= 0 {
-			en.move(lv.groups[best.swapGj], c1)
-		}
+		apply(best)
 		moves++
 	}
 	return moves
 }
 
-// buildGroupAdjacency returns the macro-node neighbor lists as a CSR pair
-// (head, list): group gi's neighbors are list[head[gi]:head[gi+1]], sorted
-// ascending and deduplicated. Built once per refinement level into the
-// arena's buffers (explicitly re-zeroed: arena contents are unspecified).
-func (p *Partitioner) buildGroupAdjacency(owner []int, nG int) (head, list []int) {
+// indexLevel builds the refinement tables of level lv into the arena:
+// owner maps each node to its group; group gi's boundary data edges (one
+// endpoint in gi, in edge order) are bndList[bndHead[gi]:bndHead[gi+1]];
+// and its neighbor groups, sorted ascending and deduplicated, are
+// nbrList[nbrHead[gi]:nbrHead[gi+1]]. Refinement builds them once per level
+// before balancing it; arena contents are unspecified, so every entry is
+// rewritten.
+func (p *Partitioner) indexLevel(lv *level) {
 	g, ar := p.g, p.ar
-	head = resizeInts(ar.nbrHead, nG+1)
-	ar.nbrHead = head
-	for i := range head {
-		head[i] = 0
+	nG := len(lv.groups)
+	owner := resizeInts(ar.owner, g.N())
+	ar.owner = owner
+	for gi, members := range lv.groups {
+		for _, v := range members {
+			owner[v] = gi
+		}
 	}
+	head := zeroInts(ar.bndHead, nG+1)
+	ar.bndHead = head
 	for _, e := range g.Edges {
-		if e.Kind != ddg.Data {
-			continue
+		if a, b := owner[e.From], owner[e.To]; e.Kind == ddg.Data && a != b {
+			head[a+1]++
+			head[b+1]++
 		}
-		a, b := owner[e.From], owner[e.To]
-		if a == b {
-			continue
-		}
-		head[a+1]++
-		head[b+1]++
 	}
 	for i := 0; i < nG; i++ {
 		head[i+1] += head[i]
 	}
-	list = resizeInts(ar.nbrList, head[nG])
-	ar.nbrList = list
-	fill := resizeInts(ar.nbrFill, nG)
+	bnd := resizeInts(ar.bndList, head[nG])
+	ar.bndList = bnd
+	nbr := resizeInts(ar.nbrList, head[nG])
+	fill := zeroInts(ar.nbrFill, nG)
 	ar.nbrFill = fill
-	for i := range fill {
-		fill[i] = 0
-	}
-	for _, e := range g.Edges {
-		if e.Kind != ddg.Data {
-			continue
+	for ei, e := range g.Edges {
+		if a, b := owner[e.From], owner[e.To]; e.Kind == ddg.Data && a != b {
+			bnd[head[a]+fill[a]], nbr[head[a]+fill[a]] = ei, b
+			fill[a]++
+			bnd[head[b]+fill[b]], nbr[head[b]+fill[b]] = ei, a
+			fill[b]++
 		}
-		a, b := owner[e.From], owner[e.To]
-		if a == b {
-			continue
-		}
-		list[head[a]+fill[a]] = b
-		fill[a]++
-		list[head[b]+fill[b]] = a
-		fill[b]++
 	}
-	// Sort and deduplicate each row in place, compacting list and head.
+	// Sort and deduplicate each neighbor row in place, compacting nbr
+	// (rows stay contiguous, so each row's end is the next row's start).
+	nHead := resizeInts(ar.nbrHead, nG+1)
 	w := 0
-	prevEnd := 0
 	for gi := 0; gi < nG; gi++ {
-		row := list[prevEnd:head[gi+1]]
-		prevEnd = head[gi+1]
+		row := nbr[head[gi]:head[gi+1]]
 		sortInts(row)
-		start := w
+		nHead[gi] = w
 		for i, v := range row {
-			if i == 0 || v != list[w-1] {
-				list[w] = v
+			if i == 0 || v != nbr[w-1] {
+				nbr[w] = v
 				w++
 			}
 		}
-		head[gi] = start
 	}
-	// head[gi] now holds the compacted row starts (rows stay contiguous,
-	// so each row's end is the next row's start); w is the final sentinel.
-	head[nG] = w
-	return head, list[:w]
+	nHead[nG] = w
+	ar.nbrHead, ar.nbrList = nHead, nbr[:w]
+}
+
+// boundary returns group gi's boundary data edges on the level indexLevel
+// last built.
+func (p *Partitioner) boundary(gi int) []int {
+	return p.ar.bndList[p.ar.bndHead[gi]:p.ar.bndHead[gi+1]]
 }
 
 // fitsReverse checks the source-cluster side of an interchange: after the
@@ -595,6 +600,13 @@ func resizeInt64s(s []int64, n int) []int64 {
 		return s[:n]
 	}
 	return make([]int64, n)
+}
+
+// zeroInts is resizeInts with every entry zeroed.
+func zeroInts(s []int, n int) []int {
+	s = resizeInts(s, n)
+	clear(s)
+	return s
 }
 
 func resizeBools(s []bool, n int) []bool {

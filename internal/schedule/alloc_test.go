@@ -76,7 +76,8 @@ func TestProbeAllocFree(t *testing.T) {
 // TestAttemptAllocsFlatInII pins the pooled-attempt contract: with the
 // state pool warm, an attempt allocates the same number of objects at any
 // II, and only its result (a Failure: applu/loop3 fails at every II) and
-// the graph's recurrence analysis, however far the attempt gets.
+// whatever the graph's recurrence analysis allocates (nothing once the
+// graph has cached it), however far the attempt gets.
 func TestAttemptAllocsFlatInII(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")

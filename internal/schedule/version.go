@@ -33,4 +33,9 @@ package schedule
 //	      shorter list SL 15, and 209 fallback cells make fewer attempts;
 //	      the list scheduler's scratch no longer allocates per cluster or
 //	      per node, same bytes
-const AlgoVersion = "gp/5"
+//	gp/6  refinement candidates screened by a read-only probe of the
+//	      resource and interconnect IIs (only survivors are applied,
+//	      estimated and undone), and longest paths relaxed once per SCC in
+//	      topological order; the digest golden is unchanged and the
+//	      screening tallies are identical
+const AlgoVersion = "gp/6"
