@@ -76,8 +76,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	nodeID := fs.String("node-id", "", "stable worker identity (default the advertised host:port)")
 	heartbeat := fs.Duration("heartbeat-interval", 0, "heartbeat cadence override (0 = the coordinator's suggestion)")
 	algoVersion := fs.String("algo-version", "", "advertised algorithm version override (default the compiled-in schedule.AlgoVersion; canary deploys set this)")
-	bestFit := fs.Bool("balance-best-fit", false, "use the best-fit partition balancing variant (folded into the advertised algorithm version and every cache key)")
-	portfolio := fs.Int("portfolio", 0, "default portfolio width: race K seeded partition starts per request and keep the best (0 or 1 = sequential; K>1 is folded into the advertised algorithm version)")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")
 	debugAddr := fs.String("debug-addr", "", "listen address for the pprof debug server (empty = off)")
 	if err := fs.Parse(args); err != nil {
@@ -85,7 +83,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := server.Config{Workers: *workers, QueueDepth: *queue, CacheEntries: *cacheN,
-		AlgoVersion: *algoVersion, BalanceBestFit: *bestFit, Portfolio: *portfolio}
+		AlgoVersion: *algoVersion}
 
 	logger, err := obs.NewLogger(*logFormat, stdout)
 	if err != nil {

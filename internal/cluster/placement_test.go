@@ -396,6 +396,9 @@ func TestCoordinatorErrorEnvelope(t *testing.T) {
 	}{
 		{"no workers", "POST", emptyBase, "/v1/schedule", string(scheduleBody(t, "noworkers")), http.StatusServiceUnavailable, server.ErrCodeNoWorkers, true},
 		{"bad schedule body", "POST", base, "/v1/schedule", `{nope`, http.StatusBadRequest, server.ErrCodeBadRequest, false},
+		// A retired wire field is an unknown field at the edge too.
+		{"portfolio schedule body", "POST", base, "/v1/schedule", `{"loop_text":"loop x 1\nnode 0 IntALU\n","clusters":2,"portfolio":4}`, http.StatusBadRequest, server.ErrCodeBadRequest, false},
+		{"portfolio batch body", "POST", base, "/v1/schedule/batch", `{"clusters":2,"portfolio":4,"loops":[{"loop_text":"loop x 1\nnode 0 IntALU\n"}]}`, http.StatusBadRequest, server.ErrCodeBadRequest, false},
 		{"bad job body", "POST", base, "/v1/jobs", `{nope`, http.StatusBadRequest, server.ErrCodeBadRequest, false},
 		{"unknown job", "GET", base, "/v1/jobs/nope", "", http.StatusNotFound, server.ErrCodeNotFound, false},
 		{"unknown job csv", "GET", base, "/v1/jobs/nope/csv", "", http.StatusNotFound, server.ErrCodeNotFound, false},

@@ -17,7 +17,7 @@
 //  4. Loops whose II escalates past a limit fall back to acyclic list
 //     scheduling, as the paper does for the few loops where modulo
 //     scheduling becomes inappropriate (§4.1). The limit starts at
-//     MII+IIWindow. Once the attempt at the MII fails, it drops to the
+//     MII+64. Once the attempt at the MII fails, it drops to the
 //     length of the list schedule of that attempt's assignment: past it a
 //     modulo schedule takes more cycles than the fallback for any
 //     realistic trip count.
@@ -66,44 +66,13 @@ type Options struct {
 	Algorithm Algorithm
 	// Partition tunes the graph partitioner (ablations); nil for defaults.
 	Partition *partition.Options
-	// MeritThreshold is forwarded to the scheduler's figure of merit.
-	MeritThreshold float64
-	// IIWindow bounds how far past the MII the II may escalate before the
-	// list-scheduling fallback engages. Zero means the default MII+64. It
-	// is the outer cap: the escalation also stops at the length of the
-	// list schedule of the MII attempt's assignment (see listCap).
-	IIWindow int
-	// Portfolio, when > 1, races K deterministically-seeded partition
-	// starts (seeds 0..K−1; seed 0 is the canonical paper start) in
-	// parallel at every II of the escalation and keeps the best schedule
-	// under a fixed tie-break: lowest II, then the partition's
-	// execution-time bound, then seed index. Output is byte-identical for a
-	// given K, and never a worse II than Portfolio=1 (seed 0 always races).
-	// Ignored for URACAM, which has no partition to vary. Values above 16
-	// are clamped; 0 and 1 mean the sequential paper path.
-	Portfolio int
 }
 
-// maxPortfolio caps the racer count: past this the marginal II benefit is
-// noise while goroutine and arena cost keep growing.
-const maxPortfolio = 16
-
-func (o *Options) window() int {
-	if o.IIWindow > 0 {
-		return o.IIWindow
-	}
-	return 64
-}
-
-func (o *Options) portfolio() int {
-	if o.Portfolio > maxPortfolio {
-		return maxPortfolio
-	}
-	if o.Portfolio > 1 {
-		return o.Portfolio
-	}
-	return 1
-}
+// iiWindow bounds how far past the MII the II may escalate before the
+// list-scheduling fallback engages. It is the outer cap: the escalation
+// also stops at the length of the list schedule of the MII attempt's
+// assignment (see listCap).
+const iiWindow = 64
 
 // Result is the outcome of scheduling one loop.
 type Result struct {
@@ -122,19 +91,15 @@ type Result struct {
 	Attempts int
 	// ListFallback reports that modulo scheduling was abandoned.
 	ListFallback bool
-	// PortfolioSeed is the seed index of the winning portfolio racer (0
-	// when Portfolio ≤ 1: the canonical start).
-	PortfolioSeed int
 	// Elapsed is the wall-clock scheduling time, the paper's Table 2 metric.
 	Elapsed time.Duration
 
 	// Phase wall times within Elapsed: MII computation, partitioning
-	// (cumulative over recomputations; for portfolio search, the wall time
-	// of the parallel partition phases, not the sum over racers), and
-	// scheduling attempts. Feeds the serving daemons' trace phases.
+	// (cumulative over recomputations) and scheduling attempts. Feeds the
+	// serving daemons' trace phases.
 	MIIDur, PartitionDur, ScheduleDur time.Duration
 	// RefineMoves totals refinement transformations across every partition
-	// computed for this loop (all portfolio racers included).
+	// computed for this loop.
 	RefineMoves int64
 	// Candidate-screening tallies summed over the same partitions; see
 	// partition.Result.
@@ -184,10 +149,6 @@ func ScheduleLoopContext(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 	res := &Result{MII: g.MII(m)}
 	res.MIIDur = time.Since(start)
 
-	if opts.portfolio() > 1 && opts.Algorithm != URACAM {
-		return schedulePortfolio(ctx, g, m, opts, start, res)
-	}
-
 	var assign []int
 	var part *partition.Result
 	var partitioner *partition.Partitioner
@@ -216,13 +177,13 @@ func ScheduleLoopContext(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 		return nil, fmt.Errorf("core: unknown algorithm %v", opts.Algorithm)
 	}
 
-	limit := res.MII + opts.window()
+	limit := res.MII + iiWindow
 	for ii := res.MII; ii <= limit; ii++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: %s at II=%d: %w", g.Name, ii, err)
 		}
 		res.Attempts++
-		sopts := &schedule.Options{Mode: mode, Assign: assign, MeritThreshold: opts.MeritThreshold}
+		sopts := &schedule.Options{Mode: mode, Assign: assign}
 		st0 := time.Now()
 		s, fail := schedule.TrySchedule(g, m, ii, sopts)
 		res.ScheduleDur += time.Since(st0)
@@ -260,9 +221,8 @@ func ScheduleLoopContext(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 // of assign, the assignment of the failed attempt at the MII. A modulo
 // schedule at II runs (n−1)·II + SL_mod cycles against the fallback's
 // n·SL_list, so past SL_list it loses to the fallback for any trip count n
-// with n−1 ≥ SL_list − SL_mod. Both escalation paths call it once, after
-// the first attempt fails, so a loop that schedules at its MII pays
-// nothing.
+// with n−1 ≥ SL_list − SL_mod. The escalation calls it once, after the
+// first attempt fails, so a loop that schedules at its MII pays nothing.
 func listCap(g *ddg.Graph, m *machine.Config, assign []int, limit int) int {
 	return min(limit, schedule.ListSchedule(g, m, assign).SL)
 }

@@ -13,6 +13,9 @@ import (
 	"repro/internal/workload"
 )
 
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
+
 func sampleLoop() *ddg.Graph {
 	g := ddg.New("sample", 200)
 	x := g.AddNode(isa.Load, "")
@@ -203,6 +206,26 @@ func TestInputGraphNotMutated(t *testing.T) {
 		if len(g.Nodes) != nodes || len(g.Edges) != edges {
 			t.Fatalf("%v mutated the input graph", alg)
 		}
+	}
+}
+
+// TestScheduleLoopWarmAllocs pins the pooled partition arena and attempt
+// scratch end to end: once warm, a GP schedule of tomcatv/loop0 on two
+// clusters makes at most 39 allocations.
+func TestScheduleLoopWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	g := workload.SPECfp95()[0].Loops[0].G
+	m := machine.MustClustered(2, 32, 1, 1)
+	opts := &Options{Algorithm: GP}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := ScheduleLoop(g, m, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 39 {
+		t.Errorf("%s on %s: %v allocs per warmed GP schedule, want at most 39", g.Name, m.Name, got)
 	}
 }
 

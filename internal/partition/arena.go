@@ -14,8 +14,8 @@
 // Ownership contract (docs/ARCHITECTURE.md "Request arenas"):
 //
 //   - An Arena serves at most one Partitioner at a time. Two live
-//     Partitioners sharing an Arena corrupt each other's state; portfolio
-//     search therefore acquires one Arena per seed.
+//     Partitioners sharing an Arena corrupt each other's state, so each
+//     concurrent schedule acquires its own.
 //   - The Arena may retain buffer capacity between runs, never content: a
 //     Partition run fully reinitializes every buffer it reads, so results
 //     are a pure function of (graph, machine, options) no matter what the

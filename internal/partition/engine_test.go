@@ -285,9 +285,8 @@ func TestEngineMoveSequenceEquivalence(t *testing.T) {
 		ms := engineMachines()
 		m := ms[int(mIdx)%len(ms)]
 		opts := &Options{
-			Weights:        WeightScheme(optBits & 1),
-			RegisterAware:  optBits&2 != 0,
-			BalanceBestFit: optBits&4 != 0,
+			Weights:       WeightScheme(optBits & 1),
+			RegisterAware: optBits&2 != 0,
 		}
 		ii := g.MII(m)
 		fast := New(g, m, opts).Partition(ii)
@@ -334,9 +333,8 @@ func TestEngineCorpusEquivalence(t *testing.T) {
 }
 
 // TestBalanceFirstFit pins the destination-scan semantics of the balancing
-// pass: by default the first feasible cluster in index order receives the
-// evicted macro-node even when a later cluster is less loaded; with
-// Options.BalanceBestFit the least-loaded feasible destination wins.
+// pass: the first feasible cluster in index order receives the evicted
+// macro-node even when a later cluster is less loaded.
 func TestBalanceFirstFit(t *testing.T) {
 	// Cluster 0 has no FP units but holds the FP ops (infinitely
 	// overloaded); clusters 1 and 2 both fit them, cluster 1 carrying one
@@ -347,33 +345,19 @@ func TestBalanceFirstFit(t *testing.T) {
 	m := machine.MustHetero("balance-pin",
 		[]machine.ClusterSpec{spec(0), spec(2), spec(2)}, machine.SharedBus, 1, 1, false)
 
-	build := func() (*Partitioner, []int, *level) {
-		g := ddgNewBalanceLoop()
-		p := New(g, m, nil)
-		p.computeWeights(1)
-		assign := []int{0, 1, 2, 1} // FP op in cluster 0; glue elsewhere
-		lv := &level{groups: [][]int{{0}, {1}, {2}, {3}}}
-		p.indexLevel(lv)
-		return p, assign, lv
-	}
+	g := ddgNewBalanceLoop()
+	p := New(g, m, nil)
+	p.computeWeights(1)
+	assign := []int{0, 1, 2, 1} // FP op in cluster 0; glue elsewhere
+	lv := &level{groups: [][]int{{0}, {1}, {2}, {3}}}
+	p.indexLevel(lv)
 
-	p, assign, lv := build()
 	en := newEngine(p, assign)
 	if moves := p.balance(lv, en, 1); moves == 0 {
 		t.Fatal("balance did not move the stranded FP op")
 	}
 	if assign[0] != 1 {
 		t.Errorf("first-fit: FP op moved to cluster %d, want 1 (first feasible)", assign[0])
-	}
-
-	p, assign, lv = build()
-	p.opts.BalanceBestFit = true
-	en = newEngine(p, assign)
-	if moves := p.balance(lv, en, 1); moves == 0 {
-		t.Fatal("best-fit balance did not move the stranded FP op")
-	}
-	if assign[0] != 2 {
-		t.Errorf("best-fit: FP op moved to cluster %d, want 2 (least loaded)", assign[0])
 	}
 }
 

@@ -56,9 +56,6 @@ type Options struct {
 	// GreedyMatchingOnly forces greedy heavy-edge matching even on small
 	// coarse graphs where the exact algorithm would be used (ablation A4).
 	GreedyMatchingOnly bool
-	// MaxMoves caps the number of applied refinement transformations per
-	// level as a safety valve; 0 means the default (4·nodes).
-	MaxMoves int
 	// RegisterAware makes the refinement estimator model register
 	// pressure: per-cluster lifetimes are estimated from the ASAP times
 	// and clusters whose estimated MaxLive exceeds the register file pay
@@ -70,19 +67,6 @@ type Options struct {
 	// pressure-aware partitioning as future work; this option implements
 	// it (ablation A6).
 	RegisterAware bool
-	// BalanceBestFit makes the workload-balancing pass scan every feasible
-	// destination cluster and move the macro-node to the one least loaded
-	// on the overloaded resource. The default (false) is first-fit by
-	// construction — the first feasible cluster in index order is taken —
-	// which preserves the golden paper outputs; see TestBalanceFirstFit.
-	BalanceBestFit bool
-	// Seed selects a deterministic variant of the coarsest-level initial
-	// placement for portfolio search: 0 is the canonical paper start
-	// (heaviest macro-node first); any other value deterministically
-	// shuffles the macro-node order before the round-robin cluster seeding,
-	// giving refinement a different, reproducible starting point. Output
-	// remains a pure function of (graph, machine, options).
-	Seed int
 }
 
 // Result is a computed cluster assignment.
@@ -200,9 +184,6 @@ func (p *Partitioner) Partition(ii int) *Result {
 				break
 			}
 		}
-	}
-	if p.opts.Seed != 0 {
-		shuffleSeeded(order, p.opts.Seed)
 	}
 	for rank, gi := range order {
 		for _, v := range coarsest.groups[gi] {
@@ -500,26 +481,6 @@ func (p *Partitioner) forcePair(cur *level, li int) *level {
 	}
 	p.collapseEdgesInto(next)
 	return next
-}
-
-// shuffleSeeded applies a deterministic Fisher–Yates permutation driven by
-// a splitmix64 stream: the portfolio's per-seed start variation.
-func shuffleSeeded(s []int, seed int) {
-	x := uint64(seed)
-	next := func() uint64 {
-		x += 0x9E3779B97F4A7C15
-		z := x
-		z ^= z >> 30
-		z *= 0xBF58476D1CE4E5B9
-		z ^= z >> 27
-		z *= 0x94D049BB133111EB
-		z ^= z >> 31
-		return z
-	}
-	for i := len(s) - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
-		s[i], s[j] = s[j], s[i]
-	}
 }
 
 func lessPair(a, b [2]int) bool {

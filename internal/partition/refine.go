@@ -230,11 +230,8 @@ func (p *Partitioner) groupCountsOf(lv *level) [][isa.NumUnitKinds]int {
 	return lv.gcs
 }
 
-// maxMoves returns the refinement move cap for one level.
+// maxMoves returns the refinement move cap for one level, a safety valve.
 func (p *Partitioner) maxMoves() int {
-	if p.opts.MaxMoves > 0 {
-		return p.opts.MaxMoves
-	}
 	return 4*p.g.N() + 16
 }
 
@@ -281,10 +278,8 @@ func (p *Partitioner) balance(lv *level, en *engine, ii int) int {
 
 		// Try moving a group that uses the overloaded resource out of the
 		// cluster, preferring the group whose departure relieves the most.
-		// The destination scan is first-fit by construction (the first
-		// feasible cluster in index order wins; see TestBalanceFirstFit);
-		// Options.BalanceBestFit instead scans all destinations and takes
-		// the one least loaded on the overloaded resource.
+		// The destination scan is first-fit: the first feasible cluster in
+		// index order wins (see TestBalanceFirstFit).
 		bestGi, bestC2, bestUse := -1, -1, 0
 		for gi := range lv.groups {
 			members := lv.groups[gi]
@@ -303,12 +298,6 @@ func (p *Partitioner) balance(lv *level, en *engine, ii int) int {
 				units := m.UnitsIn(c2, isa.UnitKind(worstK))
 				if counts[c2][worstK]+gc[worstK] > units*capII {
 					continue // would overload the destination
-				}
-				if p.opts.BalanceBestFit {
-					if destC2 == -1 || counts[c2][worstK] < counts[destC2][worstK] {
-						destC2 = c2
-					}
-					continue
 				}
 				destC2 = c2
 				break

@@ -83,15 +83,20 @@ type plan struct {
 // them in.
 type merit []float64
 
+// meritThreshold is the significance threshold of the figure-of-merit
+// comparison (§3.3.1).
+const meritThreshold = 0.05
+
 // betterMerit reports whether a beats b, both sorted in decreasing order:
 // components are compared pairwise until one pair differs by more than
-// threshold (the smaller component wins); otherwise the smaller sum wins.
-func betterMerit(a, b merit, threshold float64) bool {
+// meritThreshold (the smaller component wins); otherwise the smaller sum
+// wins.
+func betterMerit(a, b merit) bool {
 	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
-		if d := a[i] - b[i]; d > threshold {
+		if d := a[i] - b[i]; d > meritThreshold {
 			return false
-		} else if d < -threshold {
+		} else if d < -meritThreshold {
 			return true
 		}
 	}

@@ -45,19 +45,6 @@ type Options struct {
 	// Assign is the precomputed cluster assignment (required for ModeGP and
 	// ModeFixed; ignored by ModeURACAM).
 	Assign []int
-	// MeritThreshold is the significance threshold of the figure-of-merit
-	// comparison (§3.3.1). Zero means the 0.05 default.
-	MeritThreshold float64
-	// MaxTransforms caps the §3.3.2 transformations per II attempt.
-	// Zero means the default 2·nodes+8.
-	MaxTransforms int
-}
-
-func (o *Options) threshold() float64 {
-	if o.MeritThreshold > 0 {
-		return o.MeritThreshold
-	}
-	return 0.05
 }
 
 // Failure reports why an II attempt failed.
@@ -145,10 +132,8 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 	}
 	static := &st.static
 
-	maxTransforms := opts.MaxTransforms
-	if maxTransforms == 0 {
-		maxTransforms = 2*g.N() + 8
-	}
+	// Caps on the §3.3.2 transformations and on ejections per II attempt.
+	maxTransforms := 2*g.N() + 8
 	transforms := 0
 	ejections := 0
 	maxEjections := 2*g.N() + 8
@@ -212,7 +197,7 @@ func (st *state) placeNode(v int, opts *Options, static *ddg.Times) (bool, FailR
 		}
 	}
 
-	best, fail := st.bestCandidate(v, clusters, opts.threshold(), static)
+	best, fail := st.bestCandidate(v, clusters, static)
 	if best == nil && opts.Mode == ModeGP {
 		others := clusters[:0]
 		for c := 0; c < st.m.Clusters; c++ {
@@ -221,7 +206,7 @@ func (st *state) placeNode(v int, opts *Options, static *ddg.Times) (bool, FailR
 			}
 		}
 		var fail2 FailReason
-		best, fail2 = st.bestCandidate(v, others, opts.threshold(), static)
+		best, fail2 = st.bestCandidate(v, others, static)
 		if best == nil && fail2 > fail {
 			fail = fail2
 		}
@@ -237,7 +222,7 @@ func (st *state) placeNode(v int, opts *Options, static *ddg.Times) (bool, FailR
 // bestCandidate scans each cluster's placement window for its first
 // feasible slot and returns the merit-best plan among clusters, or the
 // dominant failure reason.
-func (st *state) bestCandidate(v int, clusters []int, threshold float64, static *ddg.Times) (*plan, FailReason) {
+func (st *state) bestCandidate(v int, clusters []int, static *ddg.Times) (*plan, FailReason) {
 	var best *plan
 	worstFail := FailNone
 	for _, c := range clusters {
@@ -248,7 +233,7 @@ func (st *state) bestCandidate(v int, clusters []int, threshold float64, static 
 			}
 			continue
 		}
-		if best == nil || betterMerit(p.merit, best.merit, threshold) {
+		if best == nil || betterMerit(p.merit, best.merit) {
 			st.probe.freePlan(best)
 			best = p
 		} else {

@@ -407,20 +407,20 @@ func TestMeritComparison(t *testing.T) {
 	// Clear difference beyond threshold: lower max component wins.
 	a := merit{0.9, 0.1}
 	b := merit{0.5, 0.5}
-	if !betterMerit(b, a, 0.05) {
+	if !betterMerit(b, a) {
 		t.Error("b (max 0.5) should beat a (max 0.9)")
 	}
-	if betterMerit(a, b, 0.05) {
+	if betterMerit(a, b) {
 		t.Error("a should not beat b")
 	}
 	// All components within threshold: smaller sum wins.
 	c := merit{0.50, 0.10}
 	d := merit{0.52, 0.30}
-	if !betterMerit(c, d, 0.05) {
+	if !betterMerit(c, d) {
 		t.Error("c (sum 0.6) should beat d (sum 0.82) via sum rule")
 	}
 	// Equal: not better either way.
-	if betterMerit(a, a, 0.05) {
+	if betterMerit(a, a) {
 		t.Error("a vs a: strict better must be false")
 	}
 }

@@ -32,17 +32,16 @@ import (
 )
 
 // BatchRequest is the body of POST /v1/schedule/batch: the shared machine
-// half of a ScheduleRequest (machine text or grid), the shared scheme and
-// portfolio knob, and one entry per loop.
+// half of a ScheduleRequest (machine text or grid), the shared scheme, and
+// one entry per loop.
 type BatchRequest struct {
-	Machine   *machine.Config `json:"machine,omitempty"`
-	Clusters  int             `json:"clusters,omitempty"`
-	Regs      int             `json:"regs,omitempty"`
-	NBus      int             `json:"nbus,omitempty"`
-	LatBus    int             `json:"latbus,omitempty"`
-	Scheme    string          `json:"scheme,omitempty"`
-	Portfolio int             `json:"portfolio,omitempty"`
-	Loops     []BatchLoop     `json:"loops"`
+	Machine  *machine.Config `json:"machine,omitempty"`
+	Clusters int             `json:"clusters,omitempty"`
+	Regs     int             `json:"regs,omitempty"`
+	NBus     int             `json:"nbus,omitempty"`
+	LatBus   int             `json:"latbus,omitempty"`
+	Scheme   string          `json:"scheme,omitempty"`
+	Loops    []BatchLoop     `json:"loops"`
 }
 
 // BatchLoop is one loop of a batch, in either ScheduleRequest encoding.
@@ -84,14 +83,13 @@ const (
 // batchRequestWire is the raw-decode mirror of BatchRequest (see
 // scheduleRequestWire for why the machine and loops stay raw).
 type batchRequestWire struct {
-	Machine   json.RawMessage `json:"machine,omitempty"`
-	Clusters  int             `json:"clusters,omitempty"`
-	Regs      int             `json:"regs,omitempty"`
-	NBus      int             `json:"nbus,omitempty"`
-	LatBus    int             `json:"latbus,omitempty"`
-	Scheme    string          `json:"scheme,omitempty"`
-	Portfolio int             `json:"portfolio,omitempty"`
-	Loops     []batchLoopWire `json:"loops"`
+	Machine  json.RawMessage `json:"machine,omitempty"`
+	Clusters int             `json:"clusters,omitempty"`
+	Regs     int             `json:"regs,omitempty"`
+	NBus     int             `json:"nbus,omitempty"`
+	LatBus   int             `json:"latbus,omitempty"`
+	Scheme   string          `json:"scheme,omitempty"`
+	Loops    []batchLoopWire `json:"loops"`
 }
 
 type batchLoopWire struct {
@@ -129,15 +127,14 @@ func parseBatch(body []byte, mc *machineCache) ([]batchItem, error) {
 	nodes, edges := 0, 0
 	for i, l := range req.Loops {
 		single := scheduleRequestWire{
-			Loop:      l.Loop,
-			LoopText:  l.LoopText,
-			Machine:   req.Machine,
-			Clusters:  req.Clusters,
-			Regs:      req.Regs,
-			NBus:      req.NBus,
-			LatBus:    req.LatBus,
-			Scheme:    req.Scheme,
-			Portfolio: req.Portfolio,
+			Loop:     l.Loop,
+			LoopText: l.LoopText,
+			Machine:  req.Machine,
+			Clusters: req.Clusters,
+			Regs:     req.Regs,
+			NBus:     req.NBus,
+			LatBus:   req.LatBus,
+			Scheme:   req.Scheme,
 		}
 		b, err := json.Marshal(single)
 		if err != nil {

@@ -233,64 +233,16 @@ func TestBatchEnvelopeErrors(t *testing.T) {
 		{"no loops", `{"clusters":2,"loops":[]}`},
 		{"missing loops", `{"clusters":2}`},
 		{"too many loops", many.String()},
-		{"bad portfolio", `{"clusters":2,"portfolio":-1,"loops":[{"loop_text":"loop x 1\nnode 0 IntALU\n"}]}`},
+		// A retired wire field is an unknown field, not an ignored knob.
+		{"portfolio field", `{"clusters":2,"portfolio":4,"loops":[{"loop_text":"loop x 1\nnode 0 IntALU\n"}]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, out := postBatch(t, ts, []byte(tc.body))
-			if tc.name == "bad portfolio" {
-				// Portfolio is validated per synthesized loop, so it
-				// surfaces as a per-loop error element, not a 400.
-				if resp.StatusCode != http.StatusOK || !bytes.Contains(out, []byte("portfolio")) {
-					t.Fatalf("status %d, body %s", resp.StatusCode, out)
-				}
-				return
-			}
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d (want 400), body %s", resp.StatusCode, out)
 			}
 		})
-	}
-}
-
-// TestBatchPortfolioDeterminism pins that a portfolio batch is byte-stable
-// across runs and that the explicit K is folded into the cache key: the
-// same loops with K=1 and K=4 are distinct entries, while a K=4 singleton
-// after a K=4 batch is a hit.
-func TestBatchPortfolioDeterminism(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	body := func(k int) []byte {
-		return []byte(fmt.Sprintf(`{"clusters":2,"regs":32,"portfolio":%d,"loops":[{"loop_text":%s},{"loop_text":%s}]}`,
-			k, mustJSON(t, batchLoopText("pa")), mustJSON(t, batchLoopText("pb"))))
-	}
-	respA, outA := postBatch(t, ts, body(4))
-	if respA.StatusCode != http.StatusOK {
-		t.Fatalf("K=4 batch: %d %s", respA.StatusCode, outA)
-	}
-	// Flush nothing; rerun must be served from cache with identical bytes.
-	respB, outB := postBatch(t, ts, body(4))
-	if respB.StatusCode != http.StatusOK || !bytes.Equal(outA, outB) {
-		t.Fatalf("K=4 batch not byte-stable")
-	}
-
-	// K=1 must not share the K>1 entries: it computes fresh.
-	_, missesBefore, _, _ := srv.Metrics()
-	respC, outC := postBatch(t, ts, body(1))
-	if respC.StatusCode != http.StatusOK {
-		t.Fatalf("K=1 batch: %d %s", respC.StatusCode, outC)
-	}
-	if _, missesAfter, _, _ := srv.Metrics(); missesAfter == missesBefore {
-		t.Fatal("K=1 batch hit K=4 cache entries; portfolio not folded into key")
-	}
-
-	// A K=4 singleton shares the batch's entries.
-	sBody, err := json.Marshal(&ScheduleRequest{LoopText: batchLoopText("pa"), Clusters: 2, Regs: 32, Portfolio: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	respS, _ := postSchedule(t, ts, sBody)
-	if respS.StatusCode != http.StatusOK || respS.Header.Get("X-Cache") != "hit" {
-		t.Fatalf("K=4 singleton after batch: status %d X-Cache %q, want 200 hit", respS.StatusCode, respS.Header.Get("X-Cache"))
 	}
 }
 

@@ -74,7 +74,7 @@ func FuzzScheduleRequest(f *testing.F) {
 		// The salt is load-bearing: a different algorithm version or a
 		// different epoch must move the key, and deterministically so.
 		for _, other := range []string{
-			keySalt(schedule.AlgoVersion+"+bestfit", 0),
+			keySalt(schedule.AlgoVersion+"-canary", 0),
 			keySalt(schedule.AlgoVersion, 1),
 		} {
 			ko := job.cacheKey(other)
@@ -91,13 +91,13 @@ func FuzzScheduleRequest(f *testing.F) {
 	})
 }
 
-// checkWorkBound schedules job with its algorithm and portfolio and checks
-// the escalation's work bound against SL0, the length of the list schedule
-// of the partition at the MII (no partition for URACAM): at most
+// checkWorkBound schedules job with its algorithm and checks the
+// escalation's work bound against SL0, the length of the list schedule of
+// the partition at the MII (no partition for URACAM): at most
 // max(1, min(MII+64, SL0) − MII + 1) attempts, and a modulo result never at
 // an II above SL0. TestScheduleDigests checks the same bound on the corpus.
 func checkWorkBound(t *testing.T, job *scheduleJob) {
-	res, err := core.ScheduleLoop(job.g, job.m, &core.Options{Algorithm: job.alg, Portfolio: job.portfolio})
+	res, err := core.ScheduleLoop(job.g, job.m, &core.Options{Algorithm: job.alg})
 	if err != nil {
 		t.Fatalf("schedule: %v", err)
 	}
@@ -125,7 +125,7 @@ func checkWorkBound(t *testing.T, job *scheduleJob) {
 // byte-identity rests on.
 func FuzzBatchRequest(f *testing.F) {
 	f.Add([]byte(`{"clusters":2,"loops":[{"loop_text":"loop t 10\nnode 0 IntALU\n"}]}`))
-	f.Add([]byte(`{"machine":"machine m\ncluster 1 1 1 8\n","scheme":"Fixed","portfolio":4,"loops":[{"loop":{"name":"x","niter":5,"nodes":[{"op":"Load"}]}},{"loop_text":"loop broken"}]}`))
+	f.Add([]byte(`{"machine":"machine m\ncluster 1 1 1 8\n","scheme":"Fixed","loops":[{"loop":{"name":"x","niter":5,"nodes":[{"op":"Load"}]}},{"loop_text":"loop broken"}]}`))
 	f.Add([]byte(`{"clusters":2,"loops":[]}`))
 	f.Add([]byte(`{"loops":1}`))
 	f.Add([]byte(`{{{`))

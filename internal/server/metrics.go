@@ -44,10 +44,6 @@ type metrics struct {
 	screenExact      atomic.Int64
 	screenFull       atomic.Int64
 
-	// portfolioWins counts, per seed index, how often that seed produced
-	// the served schedule of a portfolio (K>1) computation.
-	portfolioWins [maxRequestPortfolio]atomic.Int64
-
 	// durations is gpserved_request_duration_seconds{endpoint,cache}; the
 	// hot-path cells are resolved once here. Body-hash hits count as
 	// cache="hit" — the finer split stays in cache_body_hits_total.
@@ -57,11 +53,6 @@ type metrics struct {
 	batchHit  *obs.Histogram
 	batchMiss *obs.Histogram
 	sweepDur  *obs.Histogram
-
-	// portfolioWinSec is gpserved_portfolio_win_seconds{seed}: the
-	// scheduling latency of portfolio computations, bucketed by which seed
-	// won. Cells appear as seeds win.
-	portfolioWinSec *obs.Vec
 }
 
 // init wires the histogram families; must run before any observation.
@@ -72,7 +63,6 @@ func (m *metrics) init() {
 	m.batchHit = m.durations.With(`endpoint="batch",cache="hit"`)
 	m.batchMiss = m.durations.With(`endpoint="batch",cache="miss"`)
 	m.sweepDur = m.durations.With(`endpoint="sweep",cache="none"`)
-	m.portfolioWinSec = obs.NewVec()
 }
 
 // quantiles returns the p50 and p99 across every endpoint and outcome —
@@ -119,15 +109,9 @@ func (m *metrics) render(w io.Writer, queueDepth, cacheEntries int, epoch uint64
 	fmt.Fprintf(w, "gpserved_refine_screen_total{stage=\"lower_bound\"} %d\n", m.screenLB.Load())
 	fmt.Fprintf(w, "gpserved_refine_screen_total{stage=\"exact_t\"} %d\n", m.screenExact.Load())
 	fmt.Fprintf(w, "gpserved_refine_screen_total{stage=\"full_eval\"} %d\n", m.screenFull.Load())
-	for seed := range m.portfolioWins {
-		if n := m.portfolioWins[seed].Load(); n > 0 {
-			fmt.Fprintf(w, "gpserved_portfolio_wins_total{seed=\"%d\"} %d\n", seed, n)
-		}
-	}
 	fmt.Fprintf(w, "gpserved_inflight %d\n", m.inflight.Load())
 	fmt.Fprintf(w, "gpserved_queue_depth %d\n", queueDepth)
 	fmt.Fprintf(w, "gpserved_latency_p50_seconds %g\n", p50.Seconds())
 	fmt.Fprintf(w, "gpserved_latency_p99_seconds %g\n", p99.Seconds())
 	m.durations.Write(w, "gpserved_request_duration_seconds")
-	m.portfolioWinSec.Write(w, "gpserved_portfolio_win_seconds")
 }

@@ -51,13 +51,6 @@ type ScheduleRequest struct {
 	LatBus   int             `json:"latbus,omitempty"`
 
 	Scheme string `json:"scheme,omitempty"`
-
-	// Portfolio races K deterministically seeded partition starts and keeps
-	// the best schedule (core.Options.Portfolio). 0 means the server
-	// default; 1 forces sequential. Values above 1 are folded into the
-	// cache key (the response bytes may differ), so K=1 and absent keep
-	// their historical keys — and their coordinator placement.
-	Portfolio int `json:"portfolio,omitempty"`
 }
 
 // scheduleRequestWire mirrors ScheduleRequest but holds the loop and
@@ -66,15 +59,14 @@ type ScheduleRequest struct {
 // batch endpoint synthesizes per-loop singleton bodies by re-marshaling
 // this struct with the envelope's raw segments spliced in verbatim.
 type scheduleRequestWire struct {
-	Loop      json.RawMessage `json:"loop,omitempty"`
-	LoopText  string          `json:"loop_text,omitempty"`
-	Machine   json.RawMessage `json:"machine,omitempty"`
-	Clusters  int             `json:"clusters,omitempty"`
-	Regs      int             `json:"regs,omitempty"`
-	NBus      int             `json:"nbus,omitempty"`
-	LatBus    int             `json:"latbus,omitempty"`
-	Scheme    string          `json:"scheme,omitempty"`
-	Portfolio int             `json:"portfolio,omitempty"`
+	Loop     json.RawMessage `json:"loop,omitempty"`
+	LoopText string          `json:"loop_text,omitempty"`
+	Machine  json.RawMessage `json:"machine,omitempty"`
+	Clusters int             `json:"clusters,omitempty"`
+	Regs     int             `json:"regs,omitempty"`
+	NBus     int             `json:"nbus,omitempty"`
+	LatBus   int             `json:"latbus,omitempty"`
+	Scheme   string          `json:"scheme,omitempty"`
 }
 
 // rawPresent reports whether a raw JSON field carries a value ("null"
@@ -175,12 +167,11 @@ func MarshalError(code, msg string) []byte {
 
 // scheduleJob is a decoded, validated schedule request.
 type scheduleJob struct {
-	g         *ddg.Graph
-	m         *machine.Config
-	alg       core.Algorithm
-	scheme    string
-	portfolio int    // explicit request K (0 = server default)
-	mcState   string // machine-cache outcome: "hit", "miss", or "" (grid)
+	g       *ddg.Graph
+	m       *machine.Config
+	alg     core.Algorithm
+	scheme  string
+	mcState string // machine-cache outcome: "hit", "miss", or "" (grid)
 }
 
 // parseScheduleRequest decodes and validates a request body. Any error is a
@@ -269,9 +260,6 @@ func parseScheduleRequestCached(body []byte, mc *machineCache) (*scheduleJob, er
 	if err != nil {
 		return nil, err
 	}
-	if req.Portfolio < 0 || req.Portfolio > maxRequestPortfolio {
-		return nil, fmt.Errorf("portfolio %d outside served range [0, %d]", req.Portfolio, maxRequestPortfolio)
-	}
 
 	// Cheap admission guards, O(nodes + edges) — everything on the handler
 	// goroutine must stay linear; the expensive MII analysis runs behind
@@ -305,13 +293,8 @@ func parseScheduleRequestCached(body []byte, mc *machineCache) (*scheduleJob, er
 			return nil, fmt.Errorf("machine %s has no %v units but the loop needs %d", m.Name, isa.UnitKind(k), counts[k])
 		}
 	}
-	return &scheduleJob{g: g, m: m, alg: alg, scheme: scheme, portfolio: req.Portfolio, mcState: mcState}, nil
+	return &scheduleJob{g: g, m: m, alg: alg, scheme: scheme, mcState: mcState}, nil
 }
-
-// maxRequestPortfolio mirrors core's portfolio clamp: admission rejects what
-// the core would silently truncate, so a request's K is always exactly what
-// it pays for in the cache key.
-const maxRequestPortfolio = 16
 
 // Admission limits for served scheduling work. Generous against every real
 // workload (the corpora top out at ~100 ops, latencies and distances in
@@ -434,13 +417,6 @@ func (j *scheduleJob) cacheKey(salt string) string {
 	h.Write([]byte(j.scheme))
 	h.Write([]byte{0})
 	_ = ddgio.Write(h, j.g) // writes to a hash never fail
-	if j.portfolio > 1 {
-		// An explicit K>1 can change the response bytes, so it gets its
-		// own entries. K=1 and absent hash exactly as before, keeping the
-		// coordinator's rendezvous placement stable for existing traffic.
-		h.Write([]byte{0})
-		h.Write([]byte("portfolio:" + strconv.Itoa(j.portfolio)))
-	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 

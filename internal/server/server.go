@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/schedule"
 )
 
@@ -40,17 +39,6 @@ type Config struct {
 	// daemon advertises and salts its cache keys with. Tests and canary
 	// deploys use it; production builds leave it empty.
 	AlgoVersion string
-	// BalanceBestFit turns on the best-fit partition balancing variant.
-	// It changes schedule bytes, so it is folded into the advertised
-	// algorithm version (and through it into every cache key) — two
-	// workers differing only in this flag must never share cache entries.
-	BalanceBestFit bool
-	// Portfolio is the default number of seeded partition starts raced per
-	// request (core.Options.Portfolio); 0 or 1 keeps the sequential path.
-	// Like BalanceBestFit it can change schedule bytes, so K>1 is folded
-	// into the advertised algorithm version. Requests may override it with
-	// their own portfolio field.
-	Portfolio int
 }
 
 func (c Config) workers() int {
@@ -82,22 +70,13 @@ const MaxBodyBytes = 8 << 20
 // retryAfter is the Retry-After hint (seconds) on every 429 response.
 const retryAfter = "1"
 
-// algoVersion is the complete algorithm identity this daemon advertises:
-// the base version plus a suffix for every output-affecting option, so
-// any configuration that can change schedule bytes is visible in the
-// version string and distinct in the cache keyspace.
+// algoVersion is the algorithm identity this daemon advertises and salts
+// its cache keys with.
 func (c Config) algoVersion() string {
-	v := c.AlgoVersion
-	if v == "" {
-		v = schedule.AlgoVersion
+	if c.AlgoVersion != "" {
+		return c.AlgoVersion
 	}
-	if c.BalanceBestFit {
-		v += "+bestfit"
-	}
-	if c.Portfolio > 1 {
-		v += "+p" + strconv.Itoa(c.Portfolio)
-	}
-	return v
+	return schedule.AlgoVersion
 }
 
 // Server is the gpserved HTTP daemon. Create with New, serve its Handler,
@@ -105,7 +84,7 @@ func (c Config) algoVersion() string {
 // worker pool).
 type Server struct {
 	cfg      Config
-	algo     string // complete advertised algorithm identity, from cfg.algoVersion()
+	algo     string // advertised algorithm identity, from cfg.algoVersion()
 	cache    *lruCache
 	machines *machineCache
 	flight   flightGroup
@@ -238,7 +217,7 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.traces.Get(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, http.StatusNotFound, ErrCodeBadRequest, "no trace for request id %q", r.PathValue("id"))
+		s.writeError(w, http.StatusNotFound, ErrCodeNotFound, "no trace for request id %q", r.PathValue("id"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -476,15 +455,7 @@ func (s *Server) compute(key string, job *scheduleJob, epoch uint64, tr *obs.Tra
 		return nil, err
 	}
 	tr.Phase("admission", time.Since(adm))
-	k := job.portfolio
-	if k == 0 {
-		k = s.cfg.Portfolio
-	}
-	opts := &core.Options{Algorithm: job.alg, Portfolio: k}
-	if s.cfg.BalanceBestFit {
-		opts.Partition = &partition.Options{BalanceBestFit: true}
-	}
-	res, err := core.ScheduleLoop(job.g, job.m, opts)
+	res, err := core.ScheduleLoop(job.g, job.m, &core.Options{Algorithm: job.alg})
 	if err != nil {
 		return nil, fmt.Errorf("schedule: %v", err)
 	}
@@ -494,7 +465,7 @@ func (s *Server) compute(key string, job *scheduleJob, epoch uint64, tr *obs.Tra
 			res.Partitions, res.RefineMoves, res.ScreenLowerBound, res.ScreenExact, res.ScreenFull),
 		res.PartitionDur)
 	tr.PhaseNote("schedule",
-		fmt.Sprintf("attempts=%d ii=%d list=%t seed=%d", res.Attempts, res.Schedule.II, res.ListFallback, res.PortfolioSeed),
+		fmt.Sprintf("attempts=%d ii=%d list=%t", res.Attempts, res.Schedule.II, res.ListFallback),
 		res.ScheduleDur)
 	s.metrics.scheduleAttempts.Add(int64(res.Attempts))
 	if res.ListFallback {
@@ -511,10 +482,6 @@ func (s *Server) compute(key string, job *scheduleJob, epoch uint64, tr *obs.Tra
 		return nil, fmt.Errorf("schedule failed verification: %v", err)
 	}
 	tr.Phase("verify", time.Since(ver))
-	if k > 1 && res.PortfolioSeed >= 0 && res.PortfolioSeed < len(s.metrics.portfolioWins) {
-		s.metrics.portfolioWins[res.PortfolioSeed].Add(1)
-		s.metrics.portfolioWinSec.With(fmt.Sprintf("seed=%q", strconv.Itoa(res.PortfolioSeed))).Observe(res.Elapsed)
-	}
 	encT := time.Now()
 	buf := encBufPool.Get().(*bytes.Buffer)
 	defer encBufPool.Put(buf)
@@ -562,12 +529,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
+			s.finishTrace(w, tr, "bad-request")
 			s.writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad request body: %v", err)
 			return
 		}
 	}
 	machines, corpora, err := resolveSweep(&req)
 	if err != nil {
+		s.finishTrace(w, tr, "bad-request")
 		s.writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 		return
 	}

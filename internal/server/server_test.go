@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -150,6 +151,28 @@ func TestScheduleEquivalentEncodingsShareCache(t *testing.T) {
 	}
 }
 
+// TestScheduleCacheKeyStable pins the content address of two fixed bodies,
+// one on the grid and one with a machine text and a JSON loop. A change to
+// either key moves every cached entry and every request's place in the
+// coordinator's rendezvous ranking, so it belongs only with a SchemaVersion
+// or schedule.AlgoVersion bump.
+func TestScheduleCacheKeyStable(t *testing.T) {
+	for _, tc := range []struct{ name, body, key string }{
+		{"grid", `{"loop_text":"loop tiny 100\nnode 0 Load a[i]\nnode 1 IntALU +1\nnode 2 Store a[i]=\nedge 0 1 2 0 data\nedge 1 2 1 0 data\n","clusters":2,"regs":32,"nbus":1,"latbus":1,"scheme":"GP"}`,
+			"89e7036d63dc058e98a1daf5b1dafa27d98c04c2436a97363079b1a7a54bdf0d"},
+		{"machine text", `{"loop":{"name":"rec","niter":50,"nodes":[{"op":"Load"},{"op":"FPMul"},{"op":"FPAdd"},{"op":"Store"}],"edges":[{"from":0,"to":1,"lat":2},{"from":1,"to":2,"lat":4},{"from":2,"to":3,"lat":4},{"from":2,"to":2,"lat":4,"dist":1}]},"machine":"machine m2\ncluster 2 2 2 16\ncluster 2 2 2 16\ninterconnect bus 1 1 blocking\n","scheme":"Fixed"}`,
+			"7d567d7d9df723e2a18d16a42ea817d4e1243fa5c269dc9f5ba53b4ee25edce5"},
+	} {
+		key, err := ScheduleCacheKey([]byte(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if key != tc.key {
+			t.Errorf("%s: cache key %s, want %s", tc.name, key, tc.key)
+		}
+	}
+}
+
 func mustJSON(t *testing.T, s string) []byte {
 	t.Helper()
 	b, err := json.Marshal(s)
@@ -167,6 +190,8 @@ func TestScheduleMalformedRequests(t *testing.T) {
 	}{
 		{"not json", `{{{`},
 		{"unknown field", `{"loop_text":"x","clusters":2,"bogus":1}`},
+		// A retired wire field is an unknown field, not an ignored knob.
+		{"portfolio field", `{"loop_text":"loop x 1\nnode 0 IntALU\n","clusters":2,"portfolio":4}`},
 		{"missing loop", `{"clusters":2}`},
 		{"both loops", `{"loop_text":"loop x 1\nnode 0 IntALU\n","loop":{"name":"x","niter":1,"nodes":[{"op":"IntALU"}]},"clusters":2}`},
 		{"bad loop text", `{"loop_text":"loop broken","clusters":2}`},
@@ -540,7 +565,7 @@ func TestEscalationCounters(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(note, " list=true ") {
+	if !slices.Contains(strings.Fields(note), "list=true") {
 		t.Errorf("schedule phase note %q lacks list=true", note)
 	}
 }
@@ -569,20 +594,28 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// TestSweepMalformed pins that a rejected sweep is a 400 and, like a
+// rejected schedule, publishes its trace with outcome bad-request.
 func TestSweepMalformed(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	hugeMachine, err := json.Marshal("machine big\n" + strings.Repeat("cluster 1 1 1 8\n", 20) + "interconnect p2p 1 1 blocking\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, body := range []string{
+	for i, body := range []string{
 		`{{{`,
 		`{"corpora":["NoSuchCorpus"]}`,
 		`{"machines":["machine broken"]}`,
 		`{"max_loops":-1}`,
 		`{"machines":[` + string(hugeMachine) + `]}`,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+		id := fmt.Sprintf("bad-sweep-%d", i)
+		req, err := http.NewRequest("POST", ts.URL+"/v1/sweep", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(obs.RequestIDHeader, id)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -590,6 +623,28 @@ func TestSweepMalformed(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
+		if tr, ok := srv.traces.Get(id); !ok || tr.Outcome != "bad-request" {
+			t.Errorf("body %q: trace published %v, outcome %q; want outcome bad-request", body, ok, tr.Outcome)
+		}
+	}
+}
+
+// TestDebugTraceNotFound pins the trace endpoint's miss: an unknown
+// request ID is a 404 not_found envelope, not retryable.
+func TestDebugTraceNotFound(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Get(ts.URL + "/v1/debug/traces/no-such-request")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("status %d, want 404: %s", resp.StatusCode, out)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(out, &e); err != nil || e.Error.Code != ErrCodeNotFound || e.Error.Message == "" || e.Error.Retryable {
+		t.Fatalf("want a non-retryable not_found envelope, got %s", out)
 	}
 }
 
@@ -657,57 +712,5 @@ func TestCacheFlushEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if srv.Epoch() != 8 {
 		t.Fatalf("epoch after empty flush = %d, want 8", srv.Epoch())
-	}
-}
-
-// TestBalanceBestFitDivergesIdentity pins the satellite fix for
-// output-affecting server options: a worker with -balance-best-fit must
-// advertise a different algorithm version and compute under different
-// cache keys than a stock worker, so the two can never cross-pollute a
-// shared (coordinator-sharded) cache.
-func TestBalanceBestFitDivergesIdentity(t *testing.T) {
-	var mu sync.Mutex
-	keys := make(map[string][]string)
-	hook := func(tag string) func(string) {
-		return func(key string) {
-			mu.Lock()
-			keys[tag] = append(keys[tag], key)
-			mu.Unlock()
-		}
-	}
-	stock := New(Config{})
-	stock.computeHook = hook("stock")
-	bestfit := New(Config{BalanceBestFit: true})
-	bestfit.computeHook = hook("bestfit")
-	tsStock := httptest.NewServer(stock.Handler())
-	tsBest := httptest.NewServer(bestfit.Handler())
-	t.Cleanup(func() {
-		tsStock.Close()
-		tsBest.Close()
-		stock.Close()
-		bestfit.Close()
-	})
-
-	if stock.AlgoVersion() == bestfit.AlgoVersion() {
-		t.Fatalf("BalanceBestFit did not change the advertised version: %q", stock.AlgoVersion())
-	}
-	if !strings.HasSuffix(bestfit.AlgoVersion(), "+bestfit") {
-		t.Fatalf("bestfit version = %q, want +bestfit suffix", bestfit.AlgoVersion())
-	}
-
-	body := scheduleBody(t, nil)
-	if resp, out := postSchedule(t, tsStock, body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("stock: %d %s", resp.StatusCode, out)
-	}
-	if resp, out := postSchedule(t, tsBest, body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("bestfit: %d %s", resp.StatusCode, out)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(keys["stock"]) != 1 || len(keys["bestfit"]) != 1 {
-		t.Fatalf("computes: %v", keys)
-	}
-	if keys["stock"][0] == keys["bestfit"][0] {
-		t.Fatal("identical cache key across diverging BalanceBestFit configs")
 	}
 }
