@@ -15,12 +15,7 @@ import (
 // fixed per-attempt cost (the result and the recurrence analysis) plus the
 // partitioner's and the two list schedules'.
 func BenchmarkEscalationApplu3(b *testing.B) {
-	var loop *workload.Loop
-	for _, bm := range workload.SPECfp95() {
-		if bm.Name == "applu" {
-			loop = bm.Loops[3]
-		}
-	}
+	loop := specLoop("applu", 3)
 	m := machine.MustClustered(4, 64, 1, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -32,4 +27,34 @@ func BenchmarkEscalationApplu3(b *testing.B) {
 			b.Fatalf("%d attempts, list fallback %v; want 19 attempts and the list fallback", res.Attempts, res.ListFallback)
 		}
 	}
+}
+
+// BenchmarkEscalationFpppp0 measures the paper-machine escalation that
+// repartitions most: fpppp/loop0 under GP modulo-schedules at its 15th II
+// and uses 9 partitions, the first at the MII and one for each raised II
+// its bus bound still exceeds. 4 of the 8 repartitions return the
+// previous refinement's result (partition.Result.Reused).
+func BenchmarkEscalationFpppp0(b *testing.B) {
+	loop := specLoop("fpppp", 0)
+	m := machine.MustClustered(4, 64, 1, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := ScheduleLoop(loop.G, m, &Options{Algorithm: GP})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Attempts != 15 || res.Partitions != 9 {
+			b.Fatalf("%d attempts, %d partitions; want 15 and 9", res.Attempts, res.Partitions)
+		}
+	}
+}
+
+// specLoop returns loop i of the named SPECfp95 benchmark.
+func specLoop(name string, i int) *workload.Loop {
+	for _, bm := range workload.SPECfp95() {
+		if bm.Name == name {
+			return bm.Loops[i]
+		}
+	}
+	panic("no SPECfp95 benchmark " + name)
 }

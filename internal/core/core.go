@@ -85,8 +85,11 @@ type Result struct {
 	MII int
 	// IIBus is the bus bound of the final partition (0 for URACAM).
 	IIBus int
-	// Partitions counts partition computations (≥ 1 for GP/Fixed).
-	Partitions int
+	// Partitions counts the partition results the escalation used (≥ 1
+	// for GP/Fixed), and PartitionsReused those of them the partitioner
+	// returned from its previous refinement without refining again (see
+	// partition.Result.Reused).
+	Partitions, PartitionsReused int
 	// Attempts counts scheduling attempts (II values tried).
 	Attempts int
 	// ListFallback reports that modulo scheduling was abandoned.
@@ -99,16 +102,21 @@ type Result struct {
 	// serving daemons' trace phases.
 	MIIDur, PartitionDur, ScheduleDur time.Duration
 	// RefineMoves totals refinement transformations across every partition
-	// computed for this loop.
+	// result the escalation used; a reused result counts the moves of the
+	// refinement it repeats.
 	RefineMoves int64
 	// Candidate-screening tallies summed over the same partitions; see
 	// partition.Result.
 	ScreenLowerBound, ScreenExact, ScreenFull int64
 }
 
-// addPartStats folds one partition computation's work counters into the
-// result.
+// addPartStats counts one partition result and folds its work counters
+// into the result.
 func (r *Result) addPartStats(p *partition.Result) {
+	r.Partitions++
+	if p.Reused {
+		r.PartitionsReused++
+	}
 	r.RefineMoves += int64(p.Moves)
 	r.ScreenLowerBound += p.ScreenLowerBound
 	r.ScreenExact += p.ScreenExact
@@ -164,7 +172,6 @@ func ScheduleLoopContext(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 		part = partitioner.Partition(res.MII)
 		res.PartitionDur += time.Since(pt0)
 		res.addPartStats(part)
-		res.Partitions++
 		assign = part.Assign
 		res.IIBus = part.IIBus
 		mode = schedule.ModeGP
@@ -203,7 +210,6 @@ func ScheduleLoopContext(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 			part = partitioner.Partition(ii + 1)
 			res.PartitionDur += time.Since(pt0)
 			res.addPartStats(part)
-			res.Partitions++
 			assign = part.Assign
 			res.IIBus = part.IIBus
 		}

@@ -100,12 +100,7 @@ func TestUnknownAlgorithmRejected(t *testing.T) {
 // machine every scheme fails each II from the MII of 9 up to the length of
 // its list schedule, stops there, and serves a Verify-clean list schedule.
 func TestListFallbackEngages(t *testing.T) {
-	var g *ddg.Graph
-	for _, bm := range workload.SPECfp95() {
-		if bm.Name == "applu" {
-			g = bm.Loops[3].G
-		}
-	}
+	g := specLoop("applu", 3).G
 	m := machine.MustClustered(4, 64, 1, 1)
 	for _, tc := range []struct {
 		alg      Algorithm

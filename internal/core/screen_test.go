@@ -10,7 +10,8 @@ import (
 // TestSPECfpScreeningTotals pins the partitioner's work on one pass of the
 // paper's evaluation (every SPECfp95 loop under GP on the 4-cluster/64reg/
 // 1bus/lat1 machine): the refinement candidates each screening stage
-// settles, the applied refinement moves and the partitions computed. The
+// settles, the applied refinement moves, the partitions the escalation
+// used and how many of them were reused without refining. The
 // schedule digests pin what refinement chooses; these totals pin how many
 // candidates it examined to get there and where each was decided, so a
 // screen that rejects a different set of candidates fails here even when
@@ -28,18 +29,20 @@ func TestSPECfpScreeningTotals(t *testing.T) {
 				t.Fatalf("%s: %v", l.G.Name, err)
 			}
 			got.Partitions += res.Partitions
+			got.PartitionsReused += res.PartitionsReused
 			got.RefineMoves += res.RefineMoves
 			got.ScreenLowerBound += res.ScreenLowerBound
 			got.ScreenExact += res.ScreenExact
 			got.ScreenFull += res.ScreenFull
 		}
 	}
-	want := Result{Partitions: 208, RefineMoves: 1054, ScreenLowerBound: 66978, ScreenExact: 30826, ScreenFull: 3611}
-	if got.Partitions != want.Partitions || got.RefineMoves != want.RefineMoves ||
-		got.ScreenLowerBound != want.ScreenLowerBound || got.ScreenExact != want.ScreenExact ||
-		got.ScreenFull != want.ScreenFull {
-		t.Errorf("partitions %d, refine moves %d, screened %d / %d / %d (lower bound / exact / full); want %d, %d, %d / %d / %d",
-			got.Partitions, got.RefineMoves, got.ScreenLowerBound, got.ScreenExact, got.ScreenFull,
-			want.Partitions, want.RefineMoves, want.ScreenLowerBound, want.ScreenExact, want.ScreenFull)
+	want := Result{Partitions: 208, PartitionsReused: 67, RefineMoves: 1054,
+		ScreenLowerBound: 57365, ScreenExact: 114, ScreenFull: 2240}
+	if got.Partitions != want.Partitions || got.PartitionsReused != want.PartitionsReused ||
+		got.RefineMoves != want.RefineMoves || got.ScreenLowerBound != want.ScreenLowerBound ||
+		got.ScreenExact != want.ScreenExact || got.ScreenFull != want.ScreenFull {
+		t.Errorf("partitions %d (%d reused), refine moves %d, screened %d / %d / %d (lower bound / exact / full); want %d (%d), %d, %d / %d / %d",
+			got.Partitions, got.PartitionsReused, got.RefineMoves, got.ScreenLowerBound, got.ScreenExact, got.ScreenFull,
+			want.Partitions, want.PartitionsReused, want.RefineMoves, want.ScreenLowerBound, want.ScreenExact, want.ScreenFull)
 	}
 }

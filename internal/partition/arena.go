@@ -16,12 +16,18 @@
 //   - An Arena serves at most one Partitioner at a time. Two live
 //     Partitioners sharing an Arena corrupt each other's state, so each
 //     concurrent schedule acquires its own.
-//   - The Arena may retain buffer capacity between runs, never content: a
-//     Partition run fully reinitializes every buffer it reads, so results
-//     are a pure function of (graph, machine, options) no matter what the
-//     previous run left behind. TestReusedArenaMatchesFresh pins this on
-//     the SPECfp95 corpus, and TestScheduleDigests through core's pooled
-//     arenas.
+//   - The Arena may retain buffer capacity between Partitioners, never
+//     content: a Partition run fully reinitializes every buffer it reads,
+//     so results are a pure function of (graph, machine, options, ii) no
+//     matter what an earlier Partitioner left behind.
+//     TestReusedArenaMatchesFresh pins this on the SPECfp95 corpus, and
+//     TestScheduleDigests through core's pooled arenas.
+//   - The one exception is the repartition memo (see Partition): the
+//     levels and assignment of a Partitioner's last refinement, which its
+//     own later runs may read. Their buffers live here, but their validity
+//     lives in the Partitioner that wrote them, so a new Partitioner never
+//     reads them and no memo crosses loops; the reuse is exact, so
+//     results stay that pure function (TestRepartitionMatchesFresh).
 //   - Release returns the Arena to the package pool. The caller must not
 //     touch the Arena, or any Partitioner bound to it, afterwards. Results
 //     (Result, Assign) are independently allocated and stay valid.
@@ -46,14 +52,18 @@ type Arena struct {
 	levels []*level // level hierarchy, reused finest-first per run
 
 	// Coarsening scratch: the matching at every level (its result lives
-	// until the next level's matching), collapseEdges accumulator and key
-	// order, fuse's remap table and matched-edge order.
-	match graph.Matcher
-	owner []int // node → group of the level being built or refined
-	sum   map[[2]int]int64
-	keys  [][2]int
-	remap []int
-	idx   []int
+	// until the next level's matching), collapseEdgesInto's rows (per
+	// smaller group: its start, partners, weights and fill count) and
+	// partner slots, fuse's remap table and matched-edge order.
+	match   graph.Matcher
+	owner   []int // node → group of the level being built or refined
+	colHead []int
+	colPart []int
+	colW    []int64
+	colFill []int
+	colSlot []int
+	remap   []int
+	idx     []int
 
 	// The refinement tables of the level being refined (indexLevel): each
 	// group's boundary data edges and its neighbor groups, as CSR pairs.
@@ -62,6 +72,15 @@ type Arena struct {
 	nbrHead []int
 	nbrList []int
 	nbrFill []int
+
+	// The repartition memo's content (see Partition): the member lists of
+	// the levels it refined, concatenated, with each group's end offset
+	// and each level's group count, and the refined assignment. Only the
+	// Partitioner that wrote them reads them.
+	memoSlab   []int
+	memoEnd    []int
+	memoGroups []int
+	memoAssign []int
 }
 
 // NewArena returns an empty arena. Most callers should prefer
@@ -107,48 +126,66 @@ func (lv *level) addGroup(parts ...[]int) {
 
 // collapseEdgesInto rebuilds lv.edges as the inter-group data edges with
 // summed weights (parallel edges combine, intra-group edges disappear —
-// §2.1.2), using only arena storage.
+// §2.1.2), sorted by (U, V), using only arena storage. Each edge is
+// bucketed under its smaller group in a CSR row; a row's duplicates merge
+// into one entry per partner (slot marks where partner b's entry sits in
+// lv.edges; an entry from an earlier row lies before the row's start), and
+// the merged row is then sorted by partner.
 func (p *Partitioner) collapseEdgesInto(lv *level) {
-	ar := p.ar
-	owner := resizeInts(ar.owner, p.g.N())
+	ar, g := p.ar, p.g
+	nG := len(lv.groups)
+	owner := resizeInts(ar.owner, g.N())
 	ar.owner = owner
 	for gi, members := range lv.groups {
 		for _, v := range members {
 			owner[v] = gi
 		}
 	}
-	if ar.sum == nil {
-		ar.sum = make(map[[2]int]int64, len(p.g.Edges))
-	} else {
-		clear(ar.sum)
-	}
-	sum := ar.sum
-	for i, e := range p.g.Edges {
-		if e.Kind != ddg.Data {
-			continue
-		}
-		a, b := owner[e.From], owner[e.To]
-		if a == b {
-			continue
-		}
-		if a > b {
-			a, b = b, a
-		}
-		sum[[2]int{a, b}] += p.weights[i]
-	}
-	// Deterministic order: scan pairs in sorted order.
-	keys := ar.keys[:0]
-	for k := range sum {
-		keys = append(keys, k)
-	}
-	ar.keys = keys
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && lessPair(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+	head := zeroInts(ar.colHead, nG+1)
+	ar.colHead = head
+	for _, e := range g.Edges {
+		if a, b := owner[e.From], owner[e.To]; e.Kind == ddg.Data && a != b {
+			head[min(a, b)+1]++
 		}
 	}
-	lv.edges = lv.edges[:0]
-	for _, k := range keys {
-		lv.edges = append(lv.edges, graph.Edge{U: k[0], V: k[1], W: sum[k]})
+	for i := 0; i < nG; i++ {
+		head[i+1] += head[i]
 	}
+	part := resizeInts(ar.colPart, head[nG])
+	ar.colPart = part
+	weight := resizeInt64s(ar.colW, head[nG])
+	ar.colW = weight
+	fill := zeroInts(ar.colFill, nG)
+	ar.colFill = fill
+	for ei, e := range g.Edges {
+		if a, b := owner[e.From], owner[e.To]; e.Kind == ddg.Data && a != b {
+			a, b = min(a, b), max(a, b)
+			part[head[a]+fill[a]], weight[head[a]+fill[a]] = b, p.weights[ei]
+			fill[a]++
+		}
+	}
+	slot := resizeInts(ar.colSlot, nG)
+	ar.colSlot = slot
+	for i := range slot {
+		slot[i] = -1
+	}
+	edges := lv.edges[:0]
+	for a := 0; a < nG; a++ {
+		start := len(edges)
+		for i := head[a]; i < head[a+1]; i++ {
+			if b := part[i]; slot[b] >= start {
+				edges[slot[b]].W += weight[i]
+			} else {
+				slot[b] = len(edges)
+				edges = append(edges, graph.Edge{U: a, V: b, W: weight[i]})
+			}
+		}
+		row := edges[start:]
+		for i := 1; i < len(row); i++ {
+			for j := i; j > 0 && row[j].V < row[j-1].V; j-- {
+				row[j], row[j-1] = row[j-1], row[j]
+			}
+		}
+	}
+	lv.edges = edges
 }

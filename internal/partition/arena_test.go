@@ -1,10 +1,16 @@
 package partition
 
 import (
+	"cmp"
+	"maps"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/ddg"
+	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
@@ -58,8 +64,9 @@ func TestPartitionWarmArenaAllocs(t *testing.T) {
 
 // TestEvaluateAllocFree pins the steady-state estimators on the generated
 // loop: once their scratch is warm, a full evaluate, the refinement's
-// move → estimate → undo step and its read-only screening probe, for a
-// single move and for an interchange, allocate nothing.
+// move → estimate → undo step, its critical-path walk and its read-only
+// screening probe, for a single move and for an interchange, allocate
+// nothing.
 func TestEvaluateAllocFree(t *testing.T) {
 	g := generatedLoop()
 	m := machine.MustClustered(4, 64, 1, 2)
@@ -90,8 +97,12 @@ func TestEvaluateAllocFree(t *testing.T) {
 			en.estimate(ii)
 			en.move(lv.groups[0], p.boundary(0), 0)
 		}},
-		{"single-move probe", func() { en.lowerBoundAfter(lv, ii, 0, 1, -1) }},
-		{"interchange probe", func() { en.lowerBoundAfter(lv, ii, 0, 1, 1) }},
+		{"estimate → critical path", func() {
+			en.estimate(ii)
+			en.setPath()
+		}},
+		{"single-move probe", func() { en.pathBound(lv, ii, 0, 1, -1, math.MaxInt64) }},
+		{"interchange probe", func() { en.pathBound(lv, ii, 0, 1, 1, math.MaxInt64) }},
 	} {
 		if got := testing.AllocsPerRun(10, step.run); got != 0 {
 			t.Errorf("%s: %v allocs, want 0", step.name, got)
@@ -116,5 +127,69 @@ func TestReusedArenaMatchesFresh(t *testing.T) {
 				t.Fatalf("%s: reused arena %+v, fresh arena %+v", l.G.Name, *got, *want)
 			}
 		}
+	}
+}
+
+// collapseEdgesRef is the map-based collapse collapseEdgesInto replaced,
+// kept as its reference: the inter-group data edges of lv with summed
+// weights, sorted by (U, V).
+func collapseEdgesRef(p *Partitioner, lv *level) []graph.Edge {
+	owner := make([]int, p.g.N())
+	for gi, members := range lv.groups {
+		for _, v := range members {
+			owner[v] = gi
+		}
+	}
+	sum := map[[2]int]int64{}
+	for i, e := range p.g.Edges {
+		a, b := owner[e.From], owner[e.To]
+		if e.Kind != ddg.Data || a == b {
+			continue
+		}
+		sum[[2]int{min(a, b), max(a, b)}] += p.weights[i]
+	}
+	keys := slices.Collect(maps.Keys(sum))
+	slices.SortFunc(keys, func(x, y [2]int) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	var edges []graph.Edge
+	for _, k := range keys {
+		edges = append(edges, graph.Edge{U: k[0], V: k[1], W: sum[k]})
+	}
+	return edges
+}
+
+// TestCollapseEdgesMatchesReference pins the CSR collapse against the map
+// reference on random groupings of random loops, under paper and uniform
+// weights, with one arena reused throughout.
+func TestCollapseEdgesMatchesReference(t *testing.T) {
+	ar := NewArena()
+	f := func(seed int64, uniform bool) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := randomDAG(r, 2+r.Intn(60))
+		m := machine.MustClustered(4, 64, 1, 2)
+		opts := &Options{}
+		if uniform {
+			opts.Weights = UniformWeights
+		}
+		p := NewWithArena(g, m, opts, ar)
+		p.computeWeights(g.MII(m))
+		// Random groups of random sizes over a shuffled node order.
+		order := r.Perm(g.N())
+		lv := &level{}
+		for len(order) > 0 {
+			k := min(len(order), 1+r.Intn(6))
+			lv.groups = append(lv.groups, order[:k])
+			order = order[k:]
+		}
+		p.collapseEdgesInto(lv)
+		if want := collapseEdgesRef(p, lv); !slices.Equal(lv.edges, want) {
+			t.Logf("seed %d: collapse %v, reference %v", seed, lv.edges, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

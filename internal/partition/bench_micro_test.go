@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -83,14 +84,17 @@ func BenchmarkEngineEvaluate(b *testing.B) {
 }
 
 // BenchmarkEngineScreen measures the read-only screening probe that
-// rejects most refinement candidates without applying them.
+// rejects most refinement candidates without applying them, in full (no
+// floor, so the interconnect II is always derived).
 func BenchmarkEngineScreen(b *testing.B) {
 	en, lv, ii := benchEngine(66)
-	en.lowerBoundAfter(lv, ii, 0, 1, -1)
+	en.estimate(ii)
+	en.setPath()
+	en.pathBound(lv, ii, 0, 1, -1, math.MaxInt64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		en.lowerBoundAfter(lv, ii, 0, 1, -1)
+		en.pathBound(lv, ii, 0, 1, -1, math.MaxInt64)
 	}
 }
 

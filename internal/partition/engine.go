@@ -10,12 +10,15 @@
 // tables), so the time estimate pays O(boundary edges) for the move and
 // the undo around its longest-path analysis.
 //
-// Most candidates never get that far. lowerBoundAfter screens a single
-// move or an interchange without applying it: from the groups' unit counts
-// and their boundary edges it derives the resource II and the bus or link
-// II the move would leave, and from those a proven lower bound on the
-// execution time. Only the candidates the bound cannot reject are applied,
-// estimated and undone.
+// Most candidates never get that far. pathBound screens a single move or
+// an interchange without applying it: from the groups' unit counts and
+// their boundary edges it derives the resource II and the bus or link II
+// the move would leave, and from those and one critical path of the
+// current assignment (setPath) a proven lower bound on the execution
+// time. A candidate that leaves the path's cut edges and the II as they
+// are is typically bounded by exactly the current time, so the bound
+// rejects almost every candidate; only the ones it cannot reject are
+// applied, estimated and undone.
 //
 // Invariants (held between moves, checked by the engine equivalence test):
 //   - cut[ei] ⇔ edge ei is a Data edge with endpoints in different clusters
@@ -54,13 +57,25 @@ type engine struct {
 	destCnt  []int // node·C+dest tallies (point-to-point only, else nil)
 	perLink  []int // home·C+dest distinct-transfer counts (p2p only)
 
-	// Probe scratch (lowerBoundAfter): an interchange's boundary edges,
+	// Probe scratch (xferAfter): an interchange's boundary edges,
 	// and the candidate's changes to crossOut (shared bus) or to destCnt
 	// and perLink (point-to-point), all zero between probes.
 	cand  []int
 	dOut  []int
 	dDest []int
 	dLink []int
+
+	// The critical path setPath recorded for pathBound: its data edges,
+	// its total distance, and its latency with no edge cut (the edges'
+	// latencies plus its last node's); pathOK reports that a path was
+	// recorded and that niter−1 ≥ pathDist. A node is on the current walk
+	// when its onPath entry equals pathGen.
+	pathData []int
+	pathDist int
+	pathLat  int64
+	pathOK   bool
+	onPath   []int
+	pathGen  int
 
 	times ddg.Times // reusable start-time buffers for estimate
 }
@@ -89,6 +104,8 @@ func (en *engine) reset(assign []int) {
 	}
 	en.crossOut = zeroInts(en.crossOut, n)
 	en.dOut = zeroInts(en.dOut, n)
+	en.onPath = zeroInts(en.onPath, n)
+	en.pathGen, en.pathOK = 0, false
 	if cap(en.counts) >= c {
 		en.counts = en.counts[:c]
 	} else {
@@ -233,6 +250,7 @@ func (en *engine) estimateFast(ii int) estimate {
 	t, used := g.EstimateTimeInto(m, base, en.extra, &en.times)
 	est.t, est.ii = t, used
 	est.slackII = used
+	p.usedMin = min(p.usedMin, used)
 
 	if p.opts.RegisterAware {
 		if extraMemII := p.spillPressureII(en.assign, &en.times, en.counts); extraMemII > used {
@@ -275,26 +293,125 @@ func (p *Partitioner) timeBound(ii, resII, iiBus int) int64 {
 	return int64(p.g.Niter-1)*int64(max(ii, resII, iiBus)) + int64(p.maxOpLat)
 }
 
-// lowerBoundAfter returns timeBound for the assignment the refinement
-// candidate would leave — group gi of level lv moved to cluster c2 and,
-// when gj ≥ 0, group gj moved to gi's cluster — without applying it: the
-// engine's state is only read, and the probe scratch is left zeroed. It
-// needs the level's tables (indexLevel).
-func (en *engine) lowerBoundAfter(lv *level, ii, gi, c2, gj int) int64 {
-	p := en.p
-	c1 := en.assign[lv.groups[gi][0]]
-	gcs := p.groupCountsOf(lv)
+// resIIAfter returns the resource MII of the assignment the refinement
+// candidate would leave — group gi of level lv moved from its cluster c1
+// to cluster c2 and, when gj ≥ 0, group gj moved to c1 — without applying
+// it.
+func (en *engine) resIIAfter(lv *level, gi, c1, c2, gj int) int {
+	gcs := en.p.groupCountsOf(lv)
 	d := gcs[gi]
 	if gj >= 0 {
 		for k := range d {
 			d[k] -= gcs[gj][k]
 		}
 	}
-	return p.timeBound(ii, resIIMoved(p.m, en.counts, c1, c2, d), en.xferAfter(lv, gi, c1, c2, gj))
+	return resIIMoved(en.p.m, en.counts, c1, c2, d)
+}
+
+// setPath records one longest path of the current assignment for
+// pathBound, from the ASAP times en.times holds (as estimate leaves them):
+// it starts at the first node that sets SL and walks back along tight
+// arcs, Earliest[u] + lat + extra − II·dist = Earliest[v], until it
+// reaches a node that starts at cycle 0 or one it has already visited.
+func (en *engine) setPath() {
+	g, m, t := en.p.g, en.p.m, &en.times
+	v := 0
+	for t.Earliest[v]+m.OpLatency(g.Nodes[v].Op) != t.SL {
+		v++ // SL is the largest Earliest + latency, so some node sets it
+	}
+	en.pathData = en.pathData[:0]
+	en.pathDist, en.pathLat = 0, int64(m.OpLatency(g.Nodes[v].Op))
+	en.pathGen++
+	en.onPath[v] = en.pathGen
+	for t.Earliest[v] > 0 {
+		next := -1
+		for _, ei := range g.In(v) {
+			e := &g.Edges[ei]
+			if t.Earliest[e.From]+e.Lat+en.extra[ei]-t.II*e.Dist == t.Earliest[v] {
+				next = ei
+				break
+			}
+		}
+		if next < 0 || en.onPath[g.Edges[next].From] == en.pathGen {
+			break
+		}
+		e := &g.Edges[next]
+		if e.Kind == ddg.Data {
+			en.pathData = append(en.pathData, next)
+		}
+		en.pathDist += e.Dist
+		en.pathLat += int64(e.Lat)
+		v = e.From
+		en.onPath[v] = en.pathGen
+	}
+	en.pathOK = g.Niter-1 >= en.pathDist
+}
+
+// pathBound returns a proven lower bound on the execution time of the
+// assignment the refinement candidate would leave — group gi of level lv
+// moved to cluster c2 and, when gj ≥ 0, group gj moved to gi's cluster —
+// without applying it: the engine's state is only read, and the probe
+// scratch is left zeroed. It needs the level's tables (indexLevel).
+//
+// The bound is the larger of timeBound and a term from the critical path
+// P that setPath recorded. Every node starts at cycle ≥ 0 and every arc
+// u → v holds Earliest[v] ≥ Earliest[u] + lat + extra − II·dist, so at
+// any II the schedule length is at least L − II·D, where D is P's total
+// distance and L its latency under the candidate's cut: its edges'
+// latencies, the bus latency on each of its data edges the candidate
+// leaves cut, and its last node's latency. The estimator's II is at least
+// IIlb = max(ii, resII′, iiBus′), so T = (niter−1)·II + SL is at least
+// (niter−1−D)·IIlb + L when niter−1 ≥ D; the path term is used only then.
+// When P starts at cycle 0, L − II·D is the current SL, so a candidate
+// that leaves P's cut edges as they are and IIlb at the current
+// estimate's II is bounded by exactly the current time, and the screen
+// rejects it.
+//
+// Both terms only grow with the II, so a bound computed without the
+// interconnect II is a lower bound too. When that bound already reaches
+// floor, pathBound returns it without deriving iiBus′ (xferAfter): the
+// caller rejects every candidate whose bound reaches floor.
+func (en *engine) pathBound(lv *level, ii, gi, c2, gj int, floor int64) int64 {
+	p := en.p
+	g, c1 := p.g, en.assign[lv.groups[gi][0]]
+	resII := en.resIIAfter(lv, gi, c1, c2, gj)
+	l := en.pathLat
+	if en.pathOK {
+		for _, ei := range en.pathData {
+			e := &g.Edges[ei]
+			if en.clusterAfter(e.From, gi, c1, c2, gj) != en.clusterAfter(e.To, gi, c1, c2, gj) {
+				l += int64(p.m.LatBus)
+			}
+		}
+	}
+	bound := func(iiBus int) int64 {
+		lb := p.timeBound(ii, resII, iiBus)
+		if en.pathOK {
+			lb = max(lb, int64(g.Niter-1-en.pathDist)*int64(max(ii, resII, iiBus))+l)
+		}
+		return lb
+	}
+	if lb := bound(0); lb >= floor {
+		return lb
+	}
+	return bound(en.xferAfter(lv, gi, c1, c2, gj))
+}
+
+// clusterAfter returns node v's cluster once group gi (in cluster c1) has
+// moved to c2 and, when gj ≥ 0, group gj to c1. It needs the level's
+// owner table (indexLevel).
+func (en *engine) clusterAfter(v, gi, c1, c2, gj int) int {
+	switch en.p.ar.owner[v] {
+	case gi:
+		return c2
+	case gj:
+		return c1
+	}
+	return en.assign[v]
 }
 
 // xferAfter returns the interconnect II bound xfer would report after the
-// candidate lowerBoundAfter describes. Only the candidate's boundary edges
+// candidate pathBound describes. Only the candidate's boundary edges
 // can change cut state, and only their sources' crossOut and destCnt
 // tallies; those changes accumulate in the probe scratch, and each touched
 // tally's zero crossing is then applied once (its scratch entry is zeroed
@@ -306,15 +423,7 @@ func (en *engine) xferAfter(lv *level, gi, c1, c2, gj int) int {
 		return 0
 	}
 	// after is a node's cluster once the candidate is applied.
-	after := func(v int) int {
-		switch owner[v] {
-		case gi:
-			return c2
-		case gj:
-			return c1
-		}
-		return en.assign[v]
-	}
+	after := func(v int) int { return en.clusterAfter(v, gi, c1, c2, gj) }
 	edges := p.boundary(gi)
 	if gj >= 0 {
 		// An interchange moves gj too. An edge between the two groups is

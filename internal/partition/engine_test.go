@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -83,6 +84,15 @@ func boundaryOf(g *ddg.Graph, members []int) []int {
 func (en *engine) lowerBoundT(ii int) int64 {
 	iiBus, _ := en.xfer()
 	return en.p.timeBound(ii, resIIFrom(en.p.m, en.counts), iiBus)
+}
+
+// lowerBoundAfter returns timeBound for the assignment the candidate
+// pathBound describes, from the resource and interconnect IIs pathBound
+// probes without applying it (resIIAfter, xferAfter): pathBound's bound
+// without its critical-path term.
+func (en *engine) lowerBoundAfter(lv *level, ii, gi, c2, gj int) int64 {
+	c1 := en.assign[lv.groups[gi][0]]
+	return en.p.timeBound(ii, en.resIIAfter(lv, gi, c1, c2, gj), en.xferAfter(lv, gi, c1, c2, gj))
 }
 
 // estimatesEqual compares every field the selection logic can observe.
@@ -224,6 +234,69 @@ func TestProbeMatchesAppliedMove(t *testing.T) {
 					}
 					if !reflect.DeepEqual(snapshot(en), before) {
 						t.Logf("seed %d on %s: apply and undo of group %d → %d (swap %d) changed the engine", seed, m.Name, gi, c2, gj)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPathBoundBelowAppliedEstimate pins the soundness of the screen
+// minimizeCut runs: with the critical path recorded from the current
+// estimate, as each refinement iteration records it, pathBound never
+// exceeds the execution time estimateFast reports once the candidate is
+// applied, for every single move and every interchange on random levels,
+// and probing, applying and undoing leaves the engine's state bit for bit
+// as it was. The machines cover the shared bus, the pipelined bus and
+// point-to-point links.
+func TestPathBoundBelowAppliedEstimate(t *testing.T) {
+	ms := engineMachines()
+	f := func(seed int64, mIdx uint8, regAware bool) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := randomDAG(r, 4+r.Intn(30))
+		m := ms[int(mIdx)%len(ms)]
+		p := New(g, m, &Options{RegisterAware: regAware})
+		ii := g.MII(m) + r.Intn(3)
+		assign := make([]int, g.N())
+		for v := range assign {
+			assign[v] = r.Intn(m.Clusters)
+		}
+		en := newEngine(p, assign)
+		lv := randomLevel(r, p, assign)
+		en.estimate(ii)
+		en.setPath()
+		for gi, members := range lv.groups {
+			c1 := assign[members[0]]
+			for c2 := 0; c2 < m.Clusters; c2++ {
+				if c2 == c1 {
+					continue
+				}
+				for gj := -1; gj < len(lv.groups); gj++ {
+					if gj >= 0 && assign[lv.groups[gj][0]] != c2 {
+						continue
+					}
+					before := snapshot(en)
+					lb := en.pathBound(lv, ii, gi, c2, gj, math.MaxInt64)
+					en.move(members, p.boundary(gi), c2)
+					if gj >= 0 {
+						en.move(lv.groups[gj], p.boundary(gj), c1)
+					}
+					got := en.estimateFast(ii).t
+					if gj >= 0 {
+						en.move(lv.groups[gj], p.boundary(gj), c2)
+					}
+					en.move(members, p.boundary(gi), c1)
+					if lb > got {
+						t.Logf("seed %d on %s: group %d → %d (swap %d): path bound %d above the applied estimate %d", seed, m.Name, gi, c2, gj, lb, got)
+						return false
+					}
+					if !reflect.DeepEqual(snapshot(en), before) || !probeScratchClear(en) {
+						t.Logf("seed %d on %s: probe, apply and undo of group %d → %d (swap %d) changed the engine", seed, m.Name, gi, c2, gj)
 						return false
 					}
 				}

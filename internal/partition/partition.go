@@ -26,6 +26,9 @@
 package partition
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/ddg"
 	"repro/internal/graph"
 	"repro/internal/isa"
@@ -92,6 +95,10 @@ type Result struct {
 	// and ScreenFull those that survived to the full evaluation (ALAP
 	// slack pass). Their sum is the number of candidates considered.
 	ScreenLowerBound, ScreenExact, ScreenFull int64
+	// Reused reports that Partition returned its previous refinement's
+	// result without refining, because it provably equals what refining
+	// would compute (see Partition); the screening tallies are then 0.
+	Reused bool
 }
 
 // Partitioner computes cluster assignments for one loop on one machine.
@@ -120,6 +127,16 @@ type Partitioner struct {
 	// Per-run screening tallies, reset by Partition and copied into its
 	// Result. Mutated only by the (single-goroutine) refinement loop.
 	screenLB, screenExact, screenFull int64
+
+	// usedMin is the smallest II any estimate of the current run used
+	// (estimateFast and evaluate lower it). The repartition memo is the last refined Result (its
+	// Assign and levels live in the arena's memo buffers), valid when
+	// memoOK: it was refined at memoII and no estimate of it used an II
+	// below memoH.
+	usedMin       int
+	memo          Result
+	memoOK        bool
+	memoII, memoH int
 }
 
 // New returns a partitioner for graph g on machine m with a private arena.
@@ -152,6 +169,16 @@ func NewWithArena(g *ddg.Graph, m *machine.Config, opts *Options, ar *Arena) *Pa
 
 // Partition computes a cluster assignment for initiation interval ii (the
 // MII on the first call; a raised II on recomputation, per §3.1).
+//
+// A recomputation returns a copy of the previous refinement's result, with
+// Reused set, when it can prove refining again would compute the same one:
+// coarsening at ii yields the very levels it refined (same groups, same
+// member order), and memoII ≤ ii ≤ memoH. Refinement reads ii only through
+// its estimates, each of which uses max(ii, resII, iiBus, recurrence II)
+// and so stays the same for any ii between the old ii and the II it used,
+// and through the screening bound, which only grows with ii and so still
+// rejects every candidate it rejected (each of which the same estimates
+// would reject anyway). Every choice, and so the result, is unchanged.
 func (p *Partitioner) Partition(ii int) *Result {
 	n := p.g.N()
 	p.screenLB, p.screenExact, p.screenFull = 0, 0, 0
@@ -164,6 +191,15 @@ func (p *Partitioner) Partition(ii int) *Result {
 
 	p.computeWeights(ii)
 	levels := p.coarsen()
+	if p.memoOK && p.memoII <= ii && ii <= p.memoH && p.sameLevels(levels) {
+		assign := res.Assign
+		*res = p.memo
+		res.Assign = assign
+		copy(assign, p.ar.memoAssign)
+		res.Reused = true
+		return res
+	}
+	p.usedMin = math.MaxInt
 	res.Levels = len(levels)
 
 	// Initial partition: one coarsest macro-node per cluster (deterministic:
@@ -209,7 +245,52 @@ func (p *Partitioner) Partition(ii int) *Result {
 	res.IIBus, res.NComm = final.iiBus, final.nComm
 	res.EstTime, res.EstII = final.t, final.ii
 	res.ScreenLowerBound, res.ScreenExact, res.ScreenFull = p.screenLB, p.screenExact, p.screenFull
+	p.saveMemo(levels, res, ii)
 	return res
+}
+
+// saveMemo makes res, refined at ii from levels, the repartition memo:
+// the levels' member lists and the assignment are copied into the arena's
+// memo buffers, the rest of res (screening tallies zeroed) into p.
+func (p *Partitioner) saveMemo(levels []*level, res *Result, ii int) {
+	ar := p.ar
+	ar.memoSlab, ar.memoEnd, ar.memoGroups = ar.memoSlab[:0], ar.memoEnd[:0], ar.memoGroups[:0]
+	for _, lv := range levels {
+		ar.memoGroups = append(ar.memoGroups, len(lv.groups))
+		for _, members := range lv.groups {
+			ar.memoSlab = append(ar.memoSlab, members...)
+			ar.memoEnd = append(ar.memoEnd, len(ar.memoSlab))
+		}
+	}
+	ar.memoAssign = append(ar.memoAssign[:0], res.Assign...)
+	p.memo = *res
+	p.memo.Assign = nil
+	p.memo.ScreenLowerBound, p.memo.ScreenExact, p.memo.ScreenFull = 0, 0, 0
+	p.memoOK, p.memoII, p.memoH = true, ii, p.usedMin
+}
+
+// sameLevels reports whether levels are the memo's levels: the same
+// number of levels, of groups per level, and the same members in the same
+// order in every group.
+func (p *Partitioner) sameLevels(levels []*level) bool {
+	ar := p.ar
+	if len(levels) != len(ar.memoGroups) {
+		return false
+	}
+	start, gk := 0, 0
+	for li, lv := range levels {
+		if len(lv.groups) != ar.memoGroups[li] {
+			return false
+		}
+		for _, members := range lv.groups {
+			end := ar.memoEnd[gk]
+			if !slices.Equal(members, ar.memoSlab[start:end]) {
+				return false
+			}
+			start, gk = end, gk+1
+		}
+	}
+	return true
 }
 
 // IIBusFor returns the interconnect-imposed II bound for an assignment: the
@@ -481,13 +562,6 @@ func (p *Partitioner) forcePair(cur *level, li int) *level {
 	}
 	p.collapseEdgesInto(next)
 	return next
-}
-
-func lessPair(a, b [2]int) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
 }
 
 func ceilDiv(a, b int) int {

@@ -79,6 +79,7 @@ func (p *Partitioner) evaluate(assign []int, ii int) estimate {
 	t, used := g.EstimateTimeInto(m, base, p.extra, &p.sc.times)
 	est.t, est.ii = t, used
 	est.slackII = used
+	p.usedMin = min(p.usedMin, used)
 
 	// Complete the ALAP times at used for the cut-slack tie-break.
 	g.LatestInto(m, p.extra, &p.sc.times)
@@ -326,11 +327,12 @@ func (p *Partitioner) balance(lv *level, en *engine, ii int) int {
 //
 // Candidate evaluation is incremental: each candidate is first screened
 // against a proven lower bound on its execution time, computed without
-// applying it (engine.lowerBoundAfter), and only when the bound cannot
-// rule it out is it applied to the engine (O(boundary edges)), estimated
-// and undone. The screen is conservative — a rejected candidate's true
-// estimate is strictly worse than the incumbent's on the primary key — so
-// the chosen move sequence is identical to exhaustive full evaluation
+// applying it from the IIs it would leave and the iteration's critical
+// path (engine.pathBound), and only when the bound cannot rule it out is
+// it applied to the engine (O(boundary edges)), estimated and undone. The
+// screen is conservative — a rejected candidate's true estimate is
+// strictly worse than the incumbent's on the primary key — so the chosen
+// move sequence is identical to exhaustive full evaluation
 // (TestEngineMoveSequenceEquivalence pins this).
 func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 	m := p.m
@@ -345,6 +347,7 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 
 	for moves < limit {
 		cur := en.estimate(ii)
+		en.setPath()
 		counts := en.counts
 		capII := cur.ii
 
@@ -380,8 +383,9 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 		// bound on t ≥ cur.t) rules a candidate out entirely: any real
 		// winner beats it on the primary key, and when no winner exists the
 		// iteration terminates identically. The stages:
-		//  1. a closed-form lower bound on t, probed without applying the
-		//     candidate,
+		//  1. a closed-form lower bound on t from the IIs the candidate
+		//     would leave and the critical path setPath recorded, probed
+		//     without applying the candidate,
 		//  2. the exact t (forward longest-path analysis only),
 		//  3. the cut-slack tie-break (ALAP pass), computed last and only
 		//     for candidates still in the running.
@@ -389,8 +393,11 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 		// full.
 		consider := func(mv move) {
 			if !p.debugFullEval {
-				lb := en.lowerBoundAfter(lv, ii, mv.gi, mv.c2, mv.swapGj)
-				if lb >= cur.t || (haveBest && lb > best.est.t) {
+				floor := cur.t
+				if haveBest {
+					floor = min(floor, best.est.t+1)
+				}
+				if en.pathBound(lv, ii, mv.gi, mv.c2, mv.swapGj, floor) >= floor {
 					p.screenLB++
 					return
 				}

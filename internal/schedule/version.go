@@ -38,4 +38,11 @@ package schedule
 //	      estimated and undone), and longest paths relaxed once per SCC in
 //	      topological order; the digest golden is unchanged and the
 //	      screening tallies are identical
-const AlgoVersion = "gp/6"
+//	gp/7  refinement's screening bound adds a term from a critical path of
+//	      the current assignment, a repartition whose coarsening levels and
+//	      II range certify the previous refinement's answer reuses it, the
+//	      placement probe's register check visits the cluster that failed
+//	      the last check first, and coarsening collapses edges without a
+//	      map; every digest byte-identical to gp/6, bumped per the rule
+//	      above
+const AlgoVersion = "gp/7"

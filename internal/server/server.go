@@ -461,8 +461,8 @@ func (s *Server) compute(key string, job *scheduleJob, epoch uint64, tr *obs.Tra
 	}
 	tr.Phase("mii", res.MIIDur)
 	tr.PhaseNote("partition",
-		fmt.Sprintf("partitions=%d moves=%d screen=%d/%d/%d",
-			res.Partitions, res.RefineMoves, res.ScreenLowerBound, res.ScreenExact, res.ScreenFull),
+		fmt.Sprintf("partitions=%d reused=%d moves=%d screen=%d/%d/%d",
+			res.Partitions, res.PartitionsReused, res.RefineMoves, res.ScreenLowerBound, res.ScreenExact, res.ScreenFull),
 		res.PartitionDur)
 	tr.PhaseNote("schedule",
 		fmt.Sprintf("attempts=%d ii=%d list=%t", res.Attempts, res.Schedule.II, res.ListFallback),

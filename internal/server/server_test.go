@@ -16,9 +16,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ddg"
 	"repro/internal/ddgio"
+	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/schedule"
 	"repro/internal/workload"
 )
 
@@ -151,11 +154,14 @@ func TestScheduleEquivalentEncodingsShareCache(t *testing.T) {
 	}
 }
 
-// TestScheduleCacheKeyStable pins the content address of two fixed bodies,
-// one on the grid and one with a machine text and a JSON loop. A change to
-// either key moves every cached entry and every request's place in the
-// coordinator's rendezvous ranking, so it belongs only with a SchemaVersion
-// or schedule.AlgoVersion bump.
+// TestScheduleCacheKeyStable pins the key derivation on two fixed bodies,
+// one on the grid and one with a machine text and a JSON loop: under the
+// gp/6 salt each key equals the hex the gp/6 binaries computed, and
+// ScheduleCacheKey is the same derivation under the compiled-in
+// schedule.AlgoVersion. A change to the derivation moves every cached
+// entry and every request's place in the coordinator's rendezvous
+// ranking, so it belongs only with a SchemaVersion bump; an AlgoVersion
+// bump moves the keys through the salt alone.
 func TestScheduleCacheKeyStable(t *testing.T) {
 	for _, tc := range []struct{ name, body, key string }{
 		{"grid", `{"loop_text":"loop tiny 100\nnode 0 Load a[i]\nnode 1 IntALU +1\nnode 2 Store a[i]=\nedge 0 1 2 0 data\nedge 1 2 1 0 data\n","clusters":2,"regs":32,"nbus":1,"latbus":1,"scheme":"GP"}`,
@@ -163,12 +169,19 @@ func TestScheduleCacheKeyStable(t *testing.T) {
 		{"machine text", `{"loop":{"name":"rec","niter":50,"nodes":[{"op":"Load"},{"op":"FPMul"},{"op":"FPAdd"},{"op":"Store"}],"edges":[{"from":0,"to":1,"lat":2},{"from":1,"to":2,"lat":4},{"from":2,"to":3,"lat":4},{"from":2,"to":2,"lat":4,"dist":1}]},"machine":"machine m2\ncluster 2 2 2 16\ncluster 2 2 2 16\ninterconnect bus 1 1 blocking\n","scheme":"Fixed"}`,
 			"7d567d7d9df723e2a18d16a42ea817d4e1243fa5c269dc9f5ba53b4ee25edce5"},
 	} {
+		job, err := parseScheduleRequest([]byte(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if key := job.cacheKey(keySalt("gp/6", 0)); key != tc.key {
+			t.Errorf("%s: gp/6 cache key %s, want %s", tc.name, key, tc.key)
+		}
 		key, err := ScheduleCacheKey([]byte(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if key != tc.key {
-			t.Errorf("%s: cache key %s, want %s", tc.name, key, tc.key)
+		if want := job.cacheKey(keySalt(schedule.AlgoVersion, 0)); key != want {
+			t.Errorf("%s: ScheduleCacheKey %s, want %s", tc.name, key, want)
 		}
 	}
 }
@@ -522,25 +535,33 @@ func metricValue(t *testing.T, ts *httptest.Server, name string) int64 {
 	return 0
 }
 
+// specLoopText returns loop i of the named SPECfp95 benchmark and its
+// ddgio text.
+func specLoopText(t *testing.T, name string, i int) (*ddg.Graph, string) {
+	t.Helper()
+	for _, bm := range workload.SPECfp95() {
+		if bm.Name == name {
+			var text bytes.Buffer
+			if err := ddgio.Write(&text, bm.Loops[i].G); err != nil {
+				t.Fatal(err)
+			}
+			return bm.Loops[i].G, text.String()
+		}
+	}
+	t.Fatalf("no SPECfp95 benchmark %s", name)
+	return nil, ""
+}
+
 // TestEscalationCounters pins the worker's escalation counters: computing
 // applu/loop3 on the paper machine, which fails 19 IIs and falls back to
 // list scheduling, adds 19 to gpserved_schedule_attempts_total and 1 to
 // gpserved_list_fallbacks_total and notes list=true on the trace's
 // schedule phase; the cache hit that repeats the request moves neither.
 func TestEscalationCounters(t *testing.T) {
-	var loop *ddg.Graph
-	for _, bm := range workload.SPECfp95() {
-		if bm.Name == "applu" {
-			loop = bm.Loops[3].G
-		}
-	}
-	var text bytes.Buffer
-	if err := ddgio.Write(&text, loop); err != nil {
-		t.Fatal(err)
-	}
+	_, text := specLoopText(t, "applu", 3)
 	srv, ts := newTestServer(t, Config{})
 	body := scheduleBody(t, func(r *ScheduleRequest) {
-		r.LoopText, r.Clusters, r.Regs = text.String(), 4, 64
+		r.LoopText, r.Clusters, r.Regs = text, 4, 64
 	})
 	for i, want := range []struct {
 		xcache              string
@@ -567,6 +588,43 @@ func TestEscalationCounters(t *testing.T) {
 	}
 	if !slices.Contains(strings.Fields(note), "list=true") {
 		t.Errorf("schedule phase note %q lacks list=true", note)
+	}
+}
+
+// TestPartitionTraceNote pins the trace's partition phase note on a loop
+// whose escalation repartitions: computing fpppp/loop0 on the 4-cluster,
+// 64-register machine uses 9 partitions, and the note's partitions= and
+// reused= fields equal the counts core.ScheduleLoop reports for the same
+// loop and machine.
+func TestPartitionTraceNote(t *testing.T) {
+	loop, text := specLoopText(t, "fpppp", 0)
+	srv, ts := newTestServer(t, Config{})
+	body := scheduleBody(t, func(r *ScheduleRequest) {
+		r.LoopText, r.Clusters, r.Regs = text, 4, 64
+	})
+	if resp, out := postSchedule(t, ts, body); resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("%d X-Cache=%q %s", resp.StatusCode, resp.Header.Get("X-Cache"), out)
+	}
+	want, err := core.ScheduleLoop(loop, machine.MustClustered(4, 64, 1, 1), &core.Options{Algorithm: core.GP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Partitions != 9 {
+		t.Fatalf("core.ScheduleLoop used %d partitions, want 9", want.Partitions)
+	}
+	note := ""
+	for _, tr := range srv.traces.Recent(0) {
+		for _, ph := range tr.Phases() {
+			if ph.Name == "partition" {
+				note = ph.Note
+			}
+		}
+	}
+	fields := strings.Fields(note)
+	for _, f := range []string{fmt.Sprintf("partitions=%d", want.Partitions), fmt.Sprintf("reused=%d", want.PartitionsReused)} {
+		if !slices.Contains(fields, f) {
+			t.Errorf("partition phase note %q lacks %s", note, f)
+		}
 	}
 }
 
