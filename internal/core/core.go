@@ -90,8 +90,12 @@ type Result struct {
 	// returned from its previous refinement without refining again (see
 	// partition.Result.Reused).
 	Partitions, PartitionsReused int
-	// Attempts counts scheduling attempts (II values tried).
-	Attempts int
+	// Attempts counts scheduling attempts (II values tried), and
+	// AttemptFailures the failed ones by the reason that ended each.
+	Attempts        int
+	AttemptFailures [schedule.NumFailReasons]int
+	// Transform sums every attempt's transform-loop work.
+	Transform schedule.TransformWork
 	// ListFallback reports that modulo scheduling was abandoned.
 	ListFallback bool
 	// Elapsed is the wall-clock scheduling time, the paper's Table 2 metric.
@@ -195,11 +199,14 @@ func ScheduleLoopContext(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 		s, fail := schedule.TrySchedule(g, m, ii, sopts)
 		res.ScheduleDur += time.Since(st0)
 		if fail == nil {
+			res.Transform.Add(s.Work)
 			res.Schedule = s
 			res.Assign = assign
 			res.Elapsed = time.Since(start)
 			return res, nil
 		}
+		res.Transform.Add(fail.Work)
+		res.AttemptFailures[fail.Reason]++
 		if ii == res.MII {
 			limit = listCap(g, m, assign, limit)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/schedule"
 	"repro/internal/workload"
 )
 
@@ -44,5 +45,41 @@ func TestSPECfpScreeningTotals(t *testing.T) {
 		t.Errorf("partitions %d (%d reused), refine moves %d, screened %d / %d / %d (lower bound / exact / full); want %d (%d), %d, %d / %d / %d",
 			got.Partitions, got.PartitionsReused, got.RefineMoves, got.ScreenLowerBound, got.ScreenExact, got.ScreenFull,
 			want.Partitions, want.PartitionsReused, want.RefineMoves, want.ScreenLowerBound, want.ScreenExact, want.ScreenFull)
+	}
+}
+
+// TestSPECfpTransformTotals pins the scheduler's transform-loop work on the
+// same pass: the transform loops the attempts enter, how many a repeated
+// routing state cuts short, and the placement retries after a
+// transformation (the uncut loop makes 20,749). The split of the failed
+// attempts by reason pins that the cut changes no attempt's outcome.
+func TestSPECfpTransformTotals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full SPECfp95 pass; TestTransformCutMatchesUncut covers the cut in -short mode")
+	}
+	m := machine.MustClustered(4, 64, 1, 1)
+	var got Result
+	for _, b := range workload.SPECfp95() {
+		for _, l := range b.Loops {
+			res, err := ScheduleLoop(l.G, m, &Options{Algorithm: GP})
+			if err != nil {
+				t.Fatalf("%s: %v", l.G.Name, err)
+			}
+			got.Attempts += res.Attempts
+			got.Transform.Add(res.Transform)
+			for r, n := range res.AttemptFailures {
+				got.AttemptFailures[r] += n
+			}
+		}
+	}
+	want := Result{Attempts: 321, Transform: schedule.TransformWork{Loops: 527, Cuts: 184, Retries: 1285}}
+	want.AttemptFailures[schedule.FailFU] = 1
+	want.AttemptFailures[schedule.FailWindow] = 2
+	want.AttemptFailures[schedule.FailBus] = 185
+	want.AttemptFailures[schedule.FailRegs] = 43
+	want.AttemptFailures[schedule.FailMem] = 11
+	if got.Attempts != want.Attempts || got.Transform != want.Transform || got.AttemptFailures != want.AttemptFailures {
+		t.Errorf("attempts %d, failures by reason %v, transform work %+v; want %d, %v, %+v",
+			got.Attempts, got.AttemptFailures, got.Transform, want.Attempts, want.AttemptFailures, want.Transform)
 	}
 }

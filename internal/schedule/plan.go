@@ -22,9 +22,12 @@ const (
 	FailBus               // no bus slot for a required communication
 	FailRegs              // register file would overflow
 	FailMem               // no memory port for a required load
+
+	// NumFailReasons is the number of reasons, FailNone included.
+	NumFailReasons
 )
 
-var failNames = [...]string{"none", "fu", "window", "bus", "regs", "mem"}
+var failNames = [NumFailReasons]string{"none", "fu", "window", "bus", "regs", "mem"}
 
 // String returns a short name for the failure reason.
 func (f FailReason) String() string { return failNames[f] }

@@ -51,6 +51,28 @@ type Options struct {
 type Failure struct {
 	Node   int
 	Reason FailReason
+	// Work is the failed attempt's transform-loop work.
+	Work TransformWork
+}
+
+// TransformWork counts one attempt's transform loops: the §3.3.2
+// transformations and placement retries spent on nodes that no cluster
+// admits (see TrySchedule).
+type TransformWork struct {
+	// Loops counts the transform loops entered: each one starts at a
+	// failed placement while the attempt's transform budget lasts.
+	Loops int
+	// Cuts counts the loops a repeated routing state ended early.
+	Cuts int
+	// Retries counts the placements tried after a transformation.
+	Retries int
+}
+
+// Add adds o's counts to w.
+func (w *TransformWork) Add(o TransformWork) {
+	w.Loops += o.Loops
+	w.Cuts += o.Cuts
+	w.Retries += o.Retries
 }
 
 func (f *Failure) Error() string {
@@ -99,6 +121,9 @@ type Schedule struct {
 	// transfers are implicit in the cut-edge latencies rather than
 	// reserved on the interconnect.
 	List bool
+	// Work is the successful attempt's transform-loop work. It is not
+	// part of the schedule's wire bytes.
+	Work TransformWork `json:"-"`
 }
 
 // Cycles returns the execution time of the loop for a trip count:
@@ -137,6 +162,7 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 	transforms := 0
 	ejections := 0
 	maxEjections := 2*g.N() + 8
+	var work TransformWork
 
 	st.queue = append(st.queue[:0], st.order.order(g, static)...)
 	for qi := 0; qi < len(st.queue); qi++ {
@@ -146,12 +172,28 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 		}
 	retry:
 		placed, lastFail := st.placeNode(v, opts, static)
+		if !placed && transforms < maxTransforms {
+			// The transform loop: transform and retry until v fits, no
+			// transformation applies or the budget runs out. Once the
+			// routing state repeats, v can never fit (see cycle.go), so
+			// the loop jumps to the state the budget would end in.
+			work.Loops++
+			st.cycle.begin(st, lastFail)
+		}
 		for !placed && transforms < maxTransforms {
 			if !st.transform(lastFail) {
 				break
 			}
 			transforms++
+			work.Retries++
 			placed, lastFail = st.placeNode(v, opts, static)
+			if !placed && transformCut {
+				if lam := st.cycle.step(st, lastFail); lam > 0 {
+					lastFail = st.skipRound(lam, maxTransforms-transforms)
+					transforms = maxTransforms
+					work.Cuts++
+				}
+			}
 		}
 		if !placed && lastFail == FailWindow && ejections < maxEjections {
 			// Two-sided empty window: evict the binding successors and
@@ -166,7 +208,7 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 			}
 		}
 		if !placed {
-			return nil, &Failure{Node: v, Reason: lastFail}
+			return nil, &Failure{Node: v, Reason: lastFail, Work: work}
 		}
 		if debugChecks {
 			if err := st.checkInvariants(); err != nil {
@@ -179,7 +221,9 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 			panic(fmt.Sprintf("schedule: node %d left unscheduled after work list drained", v))
 		}
 	}
-	return st.finish(transforms), nil
+	s := st.finish(transforms)
+	s.Work = work
+	return s, nil
 }
 
 // placeNode tries every allowed cluster for node v and applies the best
@@ -519,7 +563,8 @@ func (st *state) finish(transforms int) *Schedule {
 
 // Validate cross-checks a finished schedule against the dependence graph:
 // every edge constraint must hold, including bus latency on cut data edges.
-// It is used by tests and by the driver's paranoia mode.
+// Only tests call it; served schedules go through Verify, which also
+// checks resources and routing.
 func (s *Schedule) Validate(g *ddg.Graph, m *machine.Config) error {
 	for i, e := range g.Edges {
 		if e.From == e.To && e.Dist > 0 {

@@ -268,6 +268,7 @@ type state struct {
 	order  orderState // Order scratch (order.go)
 	static ddg.Times  // ASAP/ALAP times at the attempt's II
 	queue  []int      // TrySchedule work list
+	cycle  cycleState // transform-loop cycle detection (cycle.go)
 
 	// Short-lived lists, each owned by the one function named.
 	spans    []regpress.Span // addValueSpans, removeValueSpans

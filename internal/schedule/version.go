@@ -45,4 +45,9 @@ package schedule
 //	      the last check first, and coarsening collapses edges without a
 //	      map; every digest byte-identical to gp/6, bumped per the rule
 //	      above
-const AlgoVersion = "gp/7"
+//	gp/8  a transform loop stops once its routing state repeats (Brent's
+//	      cycle detection over exact snapshots) and replays the rest of the
+//	      cycle up to the budget's end state, so the schedule, the failure
+//	      and Transforms equal the uncut loop's; every digest
+//	      byte-identical to gp/7, bumped per the rule above
+const AlgoVersion = "gp/8"

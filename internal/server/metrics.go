@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/schedule"
 )
 
 // metrics holds the daemon's counters and latency histograms. All counters
@@ -33,11 +34,12 @@ type metrics struct {
 	machineCacheMisses atomic.Int64
 
 	// Scheduler-internal work counters, summed over every computed
-	// schedule: modulo-scheduling attempts (II values tried), loops that
-	// fell back to list scheduling, refinement transformations applied,
-	// and the refinement candidate screen's per-stage tallies (see
-	// partition.Result).
+	// schedule: modulo-scheduling attempts (II values tried), the failed
+	// ones by the reason that ended each, loops that fell back to list
+	// scheduling, refinement transformations applied, and the refinement
+	// candidate screen's per-stage tallies (see partition.Result).
 	scheduleAttempts atomic.Int64
+	attemptFailures  [schedule.NumFailReasons]atomic.Int64
 	listFallbacks    atomic.Int64
 	refineMoves      atomic.Int64
 	screenLB         atomic.Int64
@@ -104,6 +106,9 @@ func (m *metrics) render(w io.Writer, queueDepth, cacheEntries int, epoch uint64
 	fmt.Fprintf(w, "gpserved_bad_requests_total %d\n", m.badRequests.Load())
 	fmt.Fprintf(w, "gpserved_verify_failures_total %d\n", m.verifyFailures.Load())
 	fmt.Fprintf(w, "gpserved_schedule_attempts_total %d\n", m.scheduleAttempts.Load())
+	for r := schedule.FailNone + 1; r < schedule.NumFailReasons; r++ {
+		fmt.Fprintf(w, "gpserved_attempt_failures_total{reason=%q} %d\n", r, m.attemptFailures[r].Load())
+	}
 	fmt.Fprintf(w, "gpserved_list_fallbacks_total %d\n", m.listFallbacks.Load())
 	fmt.Fprintf(w, "gpserved_refine_moves_total %d\n", m.refineMoves.Load())
 	fmt.Fprintf(w, "gpserved_refine_screen_total{stage=\"lower_bound\"} %d\n", m.screenLB.Load())

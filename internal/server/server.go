@@ -468,6 +468,9 @@ func (s *Server) compute(key string, job *scheduleJob, epoch uint64, tr *obs.Tra
 		fmt.Sprintf("attempts=%d ii=%d list=%t", res.Attempts, res.Schedule.II, res.ListFallback),
 		res.ScheduleDur)
 	s.metrics.scheduleAttempts.Add(int64(res.Attempts))
+	for r, n := range res.AttemptFailures {
+		s.metrics.attemptFailures[r].Add(int64(n))
+	}
 	if res.ListFallback {
 		s.metrics.listFallbacks.Add(1)
 	}

@@ -554,28 +554,37 @@ func specLoopText(t *testing.T, name string, i int) (*ddg.Graph, string) {
 
 // TestEscalationCounters pins the worker's escalation counters: computing
 // applu/loop3 on the paper machine, which fails 19 IIs and falls back to
-// list scheduling, adds 19 to gpserved_schedule_attempts_total and 1 to
-// gpserved_list_fallbacks_total and notes list=true on the trace's
-// schedule phase; the cache hit that repeats the request moves neither.
+// list scheduling, adds 19 to gpserved_schedule_attempts_total, 6 to
+// gpserved_attempt_failures_total{reason="bus"} and 13 to its
+// reason="regs" series, and 1 to gpserved_list_fallbacks_total, and notes
+// list=true on the trace's schedule phase; the cache hit that repeats the
+// request moves none of them.
 func TestEscalationCounters(t *testing.T) {
 	_, text := specLoopText(t, "applu", 3)
 	srv, ts := newTestServer(t, Config{})
 	body := scheduleBody(t, func(r *ScheduleRequest) {
 		r.LoopText, r.Clusters, r.Regs = text, 4, 64
 	})
-	for i, want := range []struct {
-		xcache              string
-		attempts, fallbacks int64
-	}{{"miss", 19, 1}, {"hit", 19, 1}} {
+	for i, xcache := range []string{"miss", "hit"} {
 		resp, out := postSchedule(t, ts, body)
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != want.xcache {
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != xcache {
 			t.Fatalf("request %d: %d X-Cache=%q %s", i, resp.StatusCode, resp.Header.Get("X-Cache"), out)
 		}
-		if got := metricValue(t, ts, "gpserved_schedule_attempts_total"); got != want.attempts {
-			t.Errorf("request %d: gpserved_schedule_attempts_total %d, want %d", i, got, want.attempts)
-		}
-		if got := metricValue(t, ts, "gpserved_list_fallbacks_total"); got != want.fallbacks {
-			t.Errorf("request %d: gpserved_list_fallbacks_total %d, want %d", i, got, want.fallbacks)
+		for _, want := range []struct {
+			metric string
+			n      int64
+		}{
+			{"gpserved_schedule_attempts_total", 19},
+			{`gpserved_attempt_failures_total{reason="fu"}`, 0},
+			{`gpserved_attempt_failures_total{reason="window"}`, 0},
+			{`gpserved_attempt_failures_total{reason="bus"}`, 6},
+			{`gpserved_attempt_failures_total{reason="regs"}`, 13},
+			{`gpserved_attempt_failures_total{reason="mem"}`, 0},
+			{"gpserved_list_fallbacks_total", 1},
+		} {
+			if got := metricValue(t, ts, want.metric); got != want.n {
+				t.Errorf("request %d: %s %d, want %d", i, want.metric, got, want.n)
+			}
 		}
 	}
 	note := ""
