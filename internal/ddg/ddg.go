@@ -186,18 +186,35 @@ func (g *Graph) Validate() error {
 }
 
 // acyclicDist0 reports whether the dist-0 subgraph is a DAG (Kahn's
-// algorithm).
+// algorithm). The successor lists, in-degrees and queue share one slice.
 func (g *Graph) acyclicDist0() bool {
 	n := len(g.Nodes)
-	indeg := make([]int, n)
-	adj := make([][]int, n)
+	m := 0
 	for _, e := range g.Edges {
 		if e.Dist == 0 {
-			adj[e.From] = append(adj[e.From], e.To)
+			m++
+		}
+	}
+	buf := make([]int, 3*n+1+m)
+	head, indeg, queue, succ := buf[:n+1], buf[n+1:2*n+1], buf[2*n+1:2*n+1:3*n+1], buf[3*n+1:]
+	for _, e := range g.Edges {
+		if e.Dist == 0 {
+			head[e.From]++
 			indeg[e.To]++
 		}
 	}
-	queue := make([]int, 0, n)
+	for v := 1; v <= n; v++ {
+		head[v] += head[v-1]
+	}
+	// head[v] is now the end of v's successor list. Filling the lists back
+	// to front leaves them in edge order and head[v] at the start of v's,
+	// so v's successors are succ[head[v]:head[v+1]].
+	for i := len(g.Edges) - 1; i >= 0; i-- {
+		if e := &g.Edges[i]; e.Dist == 0 {
+			head[e.From]--
+			succ[head[e.From]] = e.To
+		}
+	}
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
 			queue = append(queue, v)
@@ -208,7 +225,7 @@ func (g *Graph) acyclicDist0() bool {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, w := range adj[v] {
+		for _, w := range succ[head[v]:head[v+1]] {
 			if indeg[w]--; indeg[w] == 0 {
 				queue = append(queue, w)
 			}

@@ -11,116 +11,189 @@
 package ddgio
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/ddg"
 	"repro/internal/isa"
+	"repro/internal/textline"
 )
 
-// Write serializes loops to w.
+// Write serializes loops to w in one write of their AppendText form.
 func Write(w io.Writer, loops ...*ddg.Graph) error {
-	bw := bufio.NewWriter(w)
-	for _, g := range loops {
-		name := g.Name
-		if name == "" {
-			name = "loop"
-		}
-		fmt.Fprintf(bw, "loop %s %d\n", strings.ReplaceAll(name, " ", "_"), g.Niter)
-		for _, n := range g.Nodes {
-			if n.Name != "" {
-				fmt.Fprintf(bw, "node %d %s %s\n", n.ID, n.Op, strings.ReplaceAll(n.Name, " ", "_"))
-			} else {
-				fmt.Fprintf(bw, "node %d %s\n", n.ID, n.Op)
-			}
-		}
-		for _, e := range g.Edges {
-			fmt.Fprintf(bw, "edge %d %d %d %d %s\n", e.From, e.To, e.Lat, e.Dist, e.Kind)
-		}
-	}
-	return bw.Flush()
+	_, err := w.Write(AppendText(nil, loops...))
+	return err
 }
 
-// Read parses all loops from r and validates each.
-func Read(r io.Reader) ([]*ddg.Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var loops []*ddg.Graph
-	var cur *ddg.Graph
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+// AppendText appends the text form of loops to dst and returns the extended
+// buffer. It is the one canonical rendering: Write sends it and the
+// gpserved cache key hashes it.
+func AppendText(dst []byte, loops ...*ddg.Graph) []byte {
+	for _, g := range loops {
+		dst = append(dst, "loop "...)
+		dst = appendField(dst, CanonicalName(g.Name))
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(g.Niter), 10)
+		dst = append(dst, '\n')
+		for _, n := range g.Nodes {
+			dst = append(dst, "node "...)
+			dst = strconv.AppendInt(dst, int64(n.ID), 10)
+			dst = append(dst, ' ')
+			dst = append(dst, n.Op.String()...)
+			if n.Name != "" {
+				dst = append(dst, ' ')
+				dst = appendField(dst, n.Name)
+			}
+			dst = append(dst, '\n')
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		for _, e := range g.Edges {
+			dst = append(dst, "edge "...)
+			dst = strconv.AppendInt(dst, int64(e.From), 10)
+			dst = append(dst, ' ')
+			dst = strconv.AppendInt(dst, int64(e.To), 10)
+			dst = append(dst, ' ')
+			dst = strconv.AppendInt(dst, int64(e.Lat), 10)
+			dst = append(dst, ' ')
+			dst = strconv.AppendInt(dst, int64(e.Dist), 10)
+			dst = append(dst, ' ')
+			dst = append(dst, e.Kind.String()...)
+			dst = append(dst, '\n')
+		}
+	}
+	return dst
+}
+
+// CanonicalName is the loop name the text form carries: every space becomes
+// an underscore, and an unnamed loop is "loop". Two names with the same
+// canonical name are the same loop to everything that keys on the text.
+func CanonicalName(name string) string {
+	if name == "" {
+		return "loop"
+	}
+	return strings.ReplaceAll(name, " ", "_")
+}
+
+// appendField appends s with every space mapped to an underscore.
+func appendField(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == ' ' {
+			c = '_'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// maxLine is the longest line Read accepts: a line of this many bytes or
+// more before its newline is rejected with bufio.ErrTooLong.
+const maxLine = 4 << 20
+
+// Read parses all loops from r and validates each. It reads all of r before
+// it parses.
+func Read(r io.Reader) ([]*ddg.Graph, error) {
+	text, err := textline.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("ddgio: %w", err)
+	}
+	return ReadString(text)
+}
+
+// scratchPool holds the graphs ReadString parses a loop into before it
+// copies the loop out at its final size. No analysis ever runs on a scratch
+// graph, only on its Clone, so ReadString resets its fields directly.
+var scratchPool = sync.Pool{New: func() any { return new(ddg.Graph) }}
+
+// ReadString is Read over a text in memory. The loop names and node labels
+// of the returned graphs are substrings of text.
+func ReadString(text string) ([]*ddg.Graph, error) {
+	cur := scratchPool.Get().(*ddg.Graph)
+	defer func() {
+		// Drop the references into text before the graph is reused.
+		cur.Name = ""
+		clear(cur.Nodes[:cap(cur.Nodes)])
+		scratchPool.Put(cur)
+	}()
+	open := false
+	var loops []*ddg.Graph
+	closeLoop := func() {
+		if open {
+			loops = append(loops, cur.Clone())
+		}
+	}
+	sc := textline.NewScanner(text, maxLine)
+	var l textline.Line
+	for sc.Scan(&l) {
+		lineno, f := l.No, &l.F
+		switch f[0] {
 		case "loop":
-			if len(fields) != 3 {
+			if l.N != 3 {
 				return nil, fmt.Errorf("ddgio: line %d: loop wants <name> <niter>", lineno)
 			}
-			niter, err := strconv.Atoi(fields[2])
+			niter, err := strconv.Atoi(f[2])
 			if err != nil {
-				return nil, fmt.Errorf("ddgio: line %d: bad trip count %q", lineno, fields[2])
+				return nil, fmt.Errorf("ddgio: line %d: bad trip count %q", lineno, f[2])
 			}
-			cur = ddg.New(fields[1], niter)
-			loops = append(loops, cur)
+			closeLoop()
+			cur.Name, cur.Niter = f[1], niter
+			cur.Nodes, cur.Edges = cur.Nodes[:0], cur.Edges[:0]
+			open = true
 		case "node":
-			if cur == nil {
+			if !open {
 				return nil, fmt.Errorf("ddgio: line %d: node before loop", lineno)
 			}
-			if len(fields) < 3 || len(fields) > 4 {
+			if l.N < 3 || l.N > 4 {
 				return nil, fmt.Errorf("ddgio: line %d: node wants <id> <opclass> [label]", lineno)
 			}
-			id, err := strconv.Atoi(fields[1])
+			id, err := strconv.Atoi(f[1])
 			if err != nil || id != cur.N() {
-				return nil, fmt.Errorf("ddgio: line %d: node IDs must be dense and ordered (got %q, want %d)", lineno, fields[1], cur.N())
+				return nil, fmt.Errorf("ddgio: line %d: node IDs must be dense and ordered (got %q, want %d)", lineno, f[1], cur.N())
 			}
-			op, err := ParseOpClass(fields[2])
+			op, err := ParseOpClass(f[2])
 			if err != nil {
 				return nil, fmt.Errorf("ddgio: line %d: %v", lineno, err)
 			}
 			label := ""
-			if len(fields) == 4 {
-				label = fields[3]
+			if l.N == 4 {
+				label = f[3]
 			}
 			cur.AddNode(op, label)
 		case "edge":
-			if cur == nil {
+			if !open {
 				return nil, fmt.Errorf("ddgio: line %d: edge before loop", lineno)
 			}
-			if len(fields) != 6 {
+			if l.N != 6 {
 				return nil, fmt.Errorf("ddgio: line %d: edge wants <from> <to> <lat> <dist> <kind>", lineno)
 			}
 			var nums [4]int
-			for i := 0; i < 4; i++ {
-				v, err := strconv.Atoi(fields[1+i])
+			for i := range nums {
+				v, err := strconv.Atoi(f[1+i])
 				if err != nil {
-					return nil, fmt.Errorf("ddgio: line %d: bad number %q", lineno, fields[1+i])
+					return nil, fmt.Errorf("ddgio: line %d: bad number %q", lineno, f[1+i])
 				}
 				nums[i] = v
 			}
 			var kind ddg.EdgeKind
-			switch fields[5] {
+			switch f[5] {
 			case "data":
 				kind = ddg.Data
 			case "mem":
 				kind = ddg.Mem
 			default:
-				return nil, fmt.Errorf("ddgio: line %d: bad edge kind %q", lineno, fields[5])
+				return nil, fmt.Errorf("ddgio: line %d: bad edge kind %q", lineno, f[5])
 			}
 			cur.AddEdge(ddg.Edge{From: nums[0], To: nums[1], Lat: nums[2], Dist: nums[3], Kind: kind})
 		default:
-			return nil, fmt.Errorf("ddgio: line %d: unknown directive %q", lineno, fields[0])
+			return nil, fmt.Errorf("ddgio: line %d: unknown directive %q", lineno, f[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("ddgio: %w", err)
 	}
+	closeLoop()
 	for _, g := range loops {
 		if err := g.Validate(); err != nil {
 			return nil, fmt.Errorf("ddgio: %w", err)
@@ -131,10 +204,8 @@ func Read(r io.Reader) ([]*ddg.Graph, error) {
 
 // ParseOpClass parses an operation-class mnemonic ("IntALU", "Load", ...).
 func ParseOpClass(s string) (isa.OpClass, error) {
-	for c := 0; c < isa.NumOpClasses; c++ {
-		if strings.EqualFold(isa.OpClass(c).String(), s) {
-			return isa.OpClass(c), nil
-		}
+	if c, ok := isa.ParseOpClass(s); ok {
+		return c, nil
 	}
 	return 0, fmt.Errorf("unknown op class %q", s)
 }

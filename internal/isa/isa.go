@@ -12,7 +12,10 @@
 // defaults below are used throughout the reproduction.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // OpClass identifies the class of an operation in a loop body. The class
 // determines which functional-unit kind executes the operation and its
@@ -43,6 +46,23 @@ func (c OpClass) String() string {
 		return fmt.Sprintf("OpClass(%d)", int(c))
 	}
 	return opClassNames[c]
+}
+
+// ParseOpClass parses a class mnemonic, ignoring case as strings.EqualFold
+// does ("load", "LOAD" and "Load" are all Load). It reports false for an
+// unknown mnemonic.
+func ParseOpClass(s string) (OpClass, bool) {
+	for c, name := range opClassNames {
+		if s == name {
+			return OpClass(c), true
+		}
+	}
+	for c, name := range opClassNames {
+		if strings.EqualFold(name, s) {
+			return OpClass(c), true
+		}
+	}
+	return 0, false
 }
 
 // Valid reports whether c is one of the defined operation classes.

@@ -32,8 +32,10 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/isa"
+	"repro/internal/textline"
 )
 
 // Topology selects the inter-cluster interconnect model.
@@ -409,54 +411,106 @@ func SweepSet() []*Config {
 // Unified machines omit the interconnect line. Format output always
 // re-parses to an equivalent configuration.
 func Format(c *Config) string {
-	var b strings.Builder
-	// The name must survive strings.Fields on the way back in: every
-	// whitespace rune becomes an underscore.
-	name := strings.Map(func(r rune) rune {
-		if unicode.IsSpace(r) {
-			return '_'
-		}
-		return r
-	}, c.Name)
-	if name == "" {
-		name = "machine"
-	}
-	fmt.Fprintf(&b, "machine %s\n", name)
+	return string(AppendFormat(make([]byte, 0, 256), c))
+}
+
+// AppendFormat appends the Format text of c to dst and returns the extended
+// buffer. It is the one canonical rendering: Format returns it and the
+// gpserved cache key hashes it.
+func AppendFormat(dst []byte, c *Config) []byte {
+	dst = append(dst, "machine "...)
+	dst = appendName(dst, c.Name)
+	dst = append(dst, '\n')
 	for cl := 0; cl < c.Clusters; cl++ {
-		fmt.Fprintf(&b, "cluster %d %d %d %d\n",
-			c.UnitsIn(cl, isa.IntUnit), c.UnitsIn(cl, isa.FPUnit), c.UnitsIn(cl, isa.MemUnit), c.RegsIn(cl))
+		dst = append(dst, "cluster "...)
+		dst = strconv.AppendInt(dst, int64(c.UnitsIn(cl, isa.IntUnit)), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(c.UnitsIn(cl, isa.FPUnit)), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(c.UnitsIn(cl, isa.MemUnit)), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(c.RegsIn(cl)), 10)
+		dst = append(dst, '\n')
 	}
 	if c.Clusters > 1 {
-		pipe := "blocking"
+		dst = append(dst, "interconnect "...)
+		dst = append(dst, c.Topology.String()...)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(c.NBus), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(c.LatBus), 10)
 		if c.Pipelined {
-			pipe = "pipelined"
+			dst = append(dst, " pipelined\n"...)
+		} else {
+			dst = append(dst, " blocking\n"...)
 		}
-		fmt.Fprintf(&b, "interconnect %s %d %d %s\n", c.Topology, c.NBus, c.LatBus, pipe)
 	}
 	for op := 0; op < isa.NumOpClasses; op++ {
-		fmt.Fprintf(&b, "latency %s %d\n", isa.OpClass(op), c.Latency[op])
+		dst = append(dst, "latency "...)
+		dst = append(dst, isa.OpClass(op).String()...)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(c.Latency[op]), 10)
+		dst = append(dst, '\n')
 	}
-	return b.String()
+	return dst
+}
+
+// appendName appends the machine name so that it survives strings.Fields
+// on the way back in: every white-space rune becomes an underscore, and an
+// unnamed machine is "machine".
+func appendName(dst []byte, name string) []byte {
+	if name == "" {
+		return append(dst, "machine"...)
+	}
+	for i := 0; i < len(name); i++ {
+		if name[i] >= utf8.RuneSelf {
+			// strings.Map also turns invalid UTF-8 into U+FFFD.
+			return append(dst, strings.Map(func(r rune) rune {
+				if unicode.IsSpace(r) {
+					return '_'
+				}
+				return r
+			}, name)...)
+		}
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if unicode.IsSpace(rune(c)) {
+			c = '_'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // Parse reads one machine description in the Format text format. Latency
 // lines are optional (defaults apply); the interconnect line is optional for
-// single-cluster machines. The parsed configuration is validated.
+// single-cluster machines. The parsed configuration is validated. Parse
+// reads all of r before it parses.
 func Parse(r io.Reader) (*Config, error) {
+	text, err := textline.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("machine: %w", err)
+	}
+	return ParseString(text)
+}
+
+// ParseString is Parse over an in-memory description. The machine name is
+// a substring of s.
+func ParseString(s string) (*Config, error) {
 	c := &Config{Latency: isa.DefaultLatencies()}
+	// Every cluster line holds the word, so its count bounds theirs.
+	if n := strings.Count(s, "cluster"); n > 0 {
+		c.PerCluster = make([]ClusterSpec, 0, min(n, 16))
+	}
 	sawName := false
-	sc := bufio.NewScanner(r)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
+	sc := textline.NewScanner(s, bufio.MaxScanTokenSize)
+	var l textline.Line
+	for sc.Scan(&l) {
+		lineno, fields := l.No, &l.F
 		switch fields[0] {
 		case "machine":
-			if len(fields) != 2 {
+			if l.N != 2 {
 				return nil, fmt.Errorf("machine: line %d: machine wants <name>", lineno)
 			}
 			if sawName {
@@ -465,7 +519,7 @@ func Parse(r io.Reader) (*Config, error) {
 			c.Name = fields[1]
 			sawName = true
 		case "cluster":
-			if len(fields) != 5 {
+			if l.N != 5 {
 				return nil, fmt.Errorf("machine: line %d: cluster wants <int> <fp> <mem> <regs>", lineno)
 			}
 			var nums [4]int
@@ -481,7 +535,7 @@ func Parse(r io.Reader) (*Config, error) {
 				Regs:  nums[3],
 			})
 		case "interconnect":
-			if len(fields) != 5 {
+			if l.N != 5 {
 				return nil, fmt.Errorf("machine: line %d: interconnect wants <bus|p2p> <n> <lat> <pipelined|blocking>", lineno)
 			}
 			switch fields[1] {
@@ -510,10 +564,10 @@ func Parse(r io.Reader) (*Config, error) {
 				return nil, fmt.Errorf("machine: line %d: want pipelined or blocking, got %q", lineno, fields[4])
 			}
 		case "latency":
-			if len(fields) != 3 {
+			if l.N != 3 {
 				return nil, fmt.Errorf("machine: line %d: latency wants <opclass> <cycles>", lineno)
 			}
-			op, ok := parseOpClass(fields[1])
+			op, ok := isa.ParseOpClass(fields[1])
 			if !ok {
 				return nil, fmt.Errorf("machine: line %d: unknown op class %q", lineno, fields[1])
 			}
@@ -540,16 +594,4 @@ func Parse(r io.Reader) (*Config, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// ParseString is Parse over an in-memory description.
-func ParseString(s string) (*Config, error) { return Parse(strings.NewReader(s)) }
-
-func parseOpClass(s string) (isa.OpClass, bool) {
-	for op := 0; op < isa.NumOpClasses; op++ {
-		if strings.EqualFold(isa.OpClass(op).String(), s) {
-			return isa.OpClass(op), true
-		}
-	}
-	return 0, false
 }

@@ -9,7 +9,7 @@ func (c *Config) MarshalText() ([]byte, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return []byte(Format(c)), nil
+	return AppendFormat(nil, c), nil
 }
 
 // UnmarshalText parses a machine description in the Format text format.

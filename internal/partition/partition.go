@@ -377,6 +377,15 @@ func (x *xferScratch) compute(g *ddg.Graph, m *machine.Config, assign []int) (ii
 // computeWeights fills p.weights with the §3.2.1 edge weights, computed on
 // the original graph (coarse edges sum the weights of their constituents,
 // per §2.1.2).
+//
+// delay(e) is the growth of the execution-time estimate when e carries the
+// bus latency. For an edge outside every recurrence it is exactly
+// max(0, LatBus − slack(e)): no cycle passes through e, so the extra latency
+// leaves the II feasible, and neither the start time of e's source nor the
+// longest path onward from e's target can depend on e, so the schedule
+// length grows by what the latency exceeds e's slack. Only an edge inside a
+// recurrence, where the latency can raise the II, is probed with a full
+// estimate.
 func (p *Partitioner) computeWeights(ii int) {
 	g := p.g
 	p.weights = resizeInt64s(p.ar.weights, len(g.Edges))
@@ -409,6 +418,16 @@ func (p *Partitioner) computeWeights(ii int) {
 			maxsl = slack[i]
 		}
 	}
+	recOf := resizeInts(p.sc.recOf, g.N())
+	p.sc.recOf = recOf
+	for v := range recOf {
+		recOf[v] = -1
+	}
+	for r, rec := range g.Recurrences() {
+		for _, v := range rec.Nodes {
+			recOf[v] = r
+		}
+	}
 	probe := resizeInts(p.sc.probe, len(g.Edges))
 	p.sc.probe = probe
 	for i := range probe {
@@ -418,10 +437,15 @@ func (p *Partitioner) computeWeights(ii int) {
 		if e.Kind != ddg.Data {
 			continue
 		}
-		probe[i] = p.m.LatBus
-		delayT, _ := g.EstimateTimeInto(p.m, usedII, probe, &p.sc.times)
-		probe[i] = 0
-		delay := delayT - baseT
+		var delay int64
+		if recOf[e.From] < 0 || recOf[e.From] != recOf[e.To] {
+			delay = int64(p.m.LatBus - slack[i])
+		} else {
+			probe[i] = p.m.LatBus
+			delayT, _ := g.EstimateTimeInto(p.m, usedII, probe, &p.sc.times)
+			probe[i] = 0
+			delay = delayT - baseT
+		}
 		if delay < 0 {
 			delay = 0
 		}

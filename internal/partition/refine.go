@@ -45,6 +45,7 @@ type scratch struct {
 	destSeen []bool                  // per-cluster dedupe marks
 	slack    []int                   // computeWeights per-edge slack
 	probe    []int                   // computeWeights delay(e) probe extras
+	recOf    []int                   // computeWeights per-node recurrence, -1 for none
 }
 
 // evaluate computes the estimate for an assignment at scheduling interval

@@ -50,4 +50,9 @@ package schedule
 //	      cycle up to the budget's end state, so the schedule, the failure
 //	      and Transforms equal the uncut loop's; every digest
 //	      byte-identical to gp/7, bumped per the rule above
-const AlgoVersion = "gp/8"
+//	gp/9  the partitioner's delay(e) edge weight takes the closed form
+//	      max(0, LatBus − slack) on every data edge outside a recurrence and
+//	      probes only the edges inside one; every weight equals the probe's
+//	      and every digest is byte-identical to gp/8, bumped per the rule
+//	      above
+const AlgoVersion = "gp/9"

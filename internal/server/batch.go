@@ -109,6 +109,12 @@ type batchItem struct {
 // parseBatch decodes a batch envelope, synthesizes each loop's singleton
 // body, and parses every item. A returned error is an envelope-level client
 // error (HTTP 400); per-loop failures land in the item's err instead.
+//
+// The shared machine and scheme are resolved once, and each loop is parsed
+// from the envelope's own fields; every item's job and error are those
+// parseScheduleRequestCached gives its synthesized body. The machine cache
+// is consulted once: the first loop that parses reports that lookup and
+// every later one a hit, as when each loop resolved the machine in turn.
 func parseBatch(body []byte, mc *machineCache) ([]batchItem, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -123,6 +129,8 @@ func parseBatch(body []byte, mc *machineCache) ([]batchItem, error) {
 		return nil, fmt.Errorf("batch has %d loops, limit %d", len(req.Loops), maxBatchLoops)
 	}
 
+	m, mcState, merr := requestMachine(req.Machine, req.Clusters, req.Regs, req.NBus, req.LatBus, mc)
+	alg, scheme, serr := parseScheme(req.Scheme)
 	items := make([]batchItem, len(req.Loops))
 	nodes, edges := 0, 0
 	for i, l := range req.Loops {
@@ -141,11 +149,29 @@ func parseBatch(body []byte, mc *machineCache) ([]batchItem, error) {
 			return nil, fmt.Errorf("loops[%d]: %v", i, err)
 		}
 		items[i].body = b
-		items[i].job, items[i].err = parseScheduleRequestCached(b, mc)
-		if j := items[i].job; j != nil {
-			nodes += j.g.N()
-			edges += len(j.g.Edges)
+		g, err := parseLoop(l.Loop, l.LoopText)
+		state := mcState
+		if err == nil {
+			// A loop that parses is where a singleton resolves its
+			// machine; every later one would find it in the cache.
+			if mcState != "" {
+				mcState = "hit"
+			}
+			err = merr
 		}
+		if err == nil {
+			err = serr
+		}
+		if err == nil {
+			err = admitLoop(g, m)
+		}
+		if err != nil {
+			items[i].err = err
+			continue
+		}
+		items[i].job = &scheduleJob{g: g, m: m, alg: alg, scheme: scheme, mcState: state}
+		nodes += g.N()
+		edges += len(g.Edges)
 	}
 	if nodes > maxBatchNodes {
 		return nil, fmt.Errorf("batch carries %d nodes, limit %d", nodes, maxBatchNodes)

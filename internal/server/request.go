@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/ddg"
@@ -80,6 +81,8 @@ func rawPresent(raw json.RawMessage) bool {
 // cache hit is byte-identical to the cold response. Whether a response came
 // from the cache is reported out of band in the X-Cache header.
 type ScheduleResponse struct {
+	// Loop is the loop's canonical name (ddgio.CanonicalName), the one its
+	// cache key hashes, so responses under one key name the loop alike.
 	Loop    string `json:"loop"`
 	Machine string `json:"machine"`
 	Scheme  string `json:"scheme"`
@@ -190,110 +193,120 @@ func parseScheduleRequestCached(body []byte, mc *machineCache) (*scheduleJob, er
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("bad request body: %v", err)
 	}
+	g, err := parseLoop(req.Loop, req.LoopText)
+	if err != nil {
+		return nil, err
+	}
+	m, mcState, err := requestMachine(req.Machine, req.Clusters, req.Regs, req.NBus, req.LatBus, mc)
+	if err != nil {
+		return nil, err
+	}
+	alg, scheme, err := parseScheme(req.Scheme)
+	if err != nil {
+		return nil, err
+	}
+	if err := admitLoop(g, m); err != nil {
+		return nil, err
+	}
+	return &scheduleJob{g: g, m: m, alg: alg, scheme: scheme, mcState: mcState}, nil
+}
 
-	var g *ddg.Graph
-	haveLoop := rawPresent(req.Loop)
+// parseLoop parses the loop half of a request: the JSON encoding (raw) or
+// the ddgio text, exactly one of them.
+func parseLoop(raw json.RawMessage, text string) (*ddg.Graph, error) {
+	haveLoop := rawPresent(raw)
 	switch {
-	case haveLoop && req.LoopText != "":
+	case haveLoop && text != "":
 		return nil, fmt.Errorf("give exactly one of loop and loop_text, not both")
 	case haveLoop:
 		jl := new(ddgio.JSONLoop)
-		if err := json.Unmarshal(req.Loop, jl); err != nil {
+		if err := json.Unmarshal(raw, jl); err != nil {
 			return nil, fmt.Errorf("bad loop: %v", err)
 		}
-		var err error
-		g, err = ddgio.FromJSON(jl)
-		if err != nil {
-			return nil, err
-		}
-	case req.LoopText != "":
-		loops, err := ddgio.Read(strings.NewReader(req.LoopText))
+		return ddgio.FromJSON(jl)
+	case text != "":
+		loops, err := ddgio.ReadString(text)
 		if err != nil {
 			return nil, err
 		}
 		if len(loops) != 1 {
 			return nil, fmt.Errorf("loop_text must contain exactly one loop, got %d", len(loops))
 		}
-		g = loops[0]
-	default:
-		return nil, fmt.Errorf("missing loop: give loop (JSON) or loop_text (ddgio text)")
+		return loops[0], nil
 	}
+	return nil, fmt.Errorf("missing loop: give loop (JSON) or loop_text (ddgio text)")
+}
 
+// requestMachine resolves the machine half of a request: a description
+// text (raw, through mc when non-nil) or the clusters/regs/nbus/latbus
+// grid. The state is the machine cache's "hit" or "miss", or "" for the
+// grid. The machine is validated and within the served size limits.
+func requestMachine(raw json.RawMessage, clusters, regs, nbus, latbus int, mc *machineCache) (*machine.Config, string, error) {
 	var m *machine.Config
-	var mcState string
-	haveMachine := rawPresent(req.Machine)
 	switch {
-	case haveMachine && (req.Clusters != 0 || req.Regs != 0 || req.NBus != 0 || req.LatBus != 0):
-		return nil, fmt.Errorf("give either machine or the clusters/regs/nbus/latbus grid, not both")
-	case haveMachine:
+	case rawPresent(raw) && (clusters != 0 || regs != 0 || nbus != 0 || latbus != 0):
+		return nil, "", fmt.Errorf("give either machine or the clusters/regs/nbus/latbus grid, not both")
+	case rawPresent(raw):
+		// resolveMachine validates, or skips it on a cache hit, where the
+		// cached config already passed.
+		return resolveMachine(raw, mc)
+	case clusters == 1:
+		m = machine.NewUnified(defaultRegs(regs))
+	case clusters != 0:
 		var err error
-		m, mcState, err = resolveMachine(req.Machine, mc)
+		m, err = machine.NewClustered(clusters, defaultRegs(regs), defaultOne(nbus), defaultOne(latbus))
 		if err != nil {
-			return nil, err
-		}
-	case req.Clusters == 1:
-		m = machine.NewUnified(defaultRegs(req.Regs))
-	case req.Clusters != 0:
-		var err error
-		m, err = machine.NewClustered(req.Clusters, defaultRegs(req.Regs), defaultOne(req.NBus), defaultOne(req.LatBus))
-		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 	default:
-		return nil, fmt.Errorf("missing machine: give machine (description text) or clusters")
+		return nil, "", fmt.Errorf("missing machine: give machine (description text) or clusters")
 	}
-	if mcState == "" {
-		// The grid constructors check divisibility, not positivity (e.g. -8
-		// registers split evenly); Parse validates internally, the grid
-		// paths must too, so nothing invalid gets past admission. (The
-		// machine-text path validated inside resolveMachine — or skipped it
-		// on a cache hit, where the cached config already passed.)
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
-		if err := checkServedMachine(m); err != nil {
-			return nil, err
-		}
+	// The grid constructors check divisibility, not positivity (e.g. -8
+	// registers split evenly); Parse validates internally, the grid paths
+	// must too, so nothing invalid gets past admission.
+	if err := m.Validate(); err != nil {
+		return nil, "", err
 	}
+	if err := checkServedMachine(m); err != nil {
+		return nil, "", err
+	}
+	return m, "", nil
+}
 
-	alg, scheme, err := parseScheme(req.Scheme)
-	if err != nil {
-		return nil, err
-	}
-
-	// Cheap admission guards, O(nodes + edges) — everything on the handler
-	// goroutine must stay linear; the expensive MII analysis runs behind
-	// the worker pool (see admissionCheck). The scheduler's working-set
-	// size scales with loop size and initiation interval (reservation
-	// tables allocate O(units·II) per cluster), so an unauthenticated
-	// request must not drive either unbounded: a loop needing a unit kind
-	// the machine lacks has an unbounded resource MII, and a single huge
-	// edge latency drives the recurrence MII (and every schedule-time
-	// buffer) to its own magnitude.
+// admitLoop applies the cheap admission guards, O(nodes + edges), to a
+// parsed loop on its machine. Everything on the handler goroutine must
+// stay linear; the expensive MII analysis runs behind the worker pool (see
+// admissionCheck). The scheduler's working-set size scales with loop size
+// and initiation interval (reservation tables allocate O(units·II) per
+// cluster), so an unauthenticated request must not drive either unbounded:
+// a loop needing a unit kind the machine lacks has an unbounded resource
+// MII, and a single huge edge latency drives the recurrence MII (and every
+// schedule-time buffer) to its own magnitude.
+func admitLoop(g *ddg.Graph, m *machine.Config) error {
 	if g.N() > maxServedNodes {
-		return nil, fmt.Errorf("loop has %d nodes, limit %d", g.N(), maxServedNodes)
+		return fmt.Errorf("loop has %d nodes, limit %d", g.N(), maxServedNodes)
 	}
 	if len(g.Edges) > maxServedEdges {
-		return nil, fmt.Errorf("loop has %d edges, limit %d", len(g.Edges), maxServedEdges)
+		return fmt.Errorf("loop has %d edges, limit %d", len(g.Edges), maxServedEdges)
 	}
 	if g.Niter > maxServedNiter {
-		return nil, fmt.Errorf("trip count %d exceeds limit %d", g.Niter, maxServedNiter)
+		return fmt.Errorf("trip count %d exceeds limit %d", g.Niter, maxServedNiter)
 	}
 	for i, e := range g.Edges {
 		if e.Lat > maxServedLat {
-			return nil, fmt.Errorf("edge %d latency %d exceeds limit %d", i, e.Lat, maxServedLat)
+			return fmt.Errorf("edge %d latency %d exceeds limit %d", i, e.Lat, maxServedLat)
 		}
 		if e.Dist > maxServedDist {
-			return nil, fmt.Errorf("edge %d distance %d exceeds limit %d", i, e.Dist, maxServedDist)
+			return fmt.Errorf("edge %d distance %d exceeds limit %d", i, e.Dist, maxServedDist)
 		}
 	}
 	counts := g.OpCounts()
 	for k := 0; k < isa.NumUnitKinds; k++ {
 		if counts[k] > 0 && m.TotalUnits(isa.UnitKind(k)) == 0 {
-			return nil, fmt.Errorf("machine %s has no %v units but the loop needs %d", m.Name, isa.UnitKind(k), counts[k])
+			return fmt.Errorf("machine %s has no %v units but the loop needs %d", m.Name, isa.UnitKind(k), counts[k])
 		}
 	}
-	return &scheduleJob{g: g, m: m, alg: alg, scheme: scheme, mcState: mcState}, nil
+	return nil
 }
 
 // Admission limits for served scheduling work. Generous against every real
@@ -407,18 +420,32 @@ func keySalt(algoVersion string, epoch uint64) string {
 // salt, the canonical machine description, the canonical ddgio text of the
 // loop, and the scheme. Equivalent requests — JSON loop vs. text loop,
 // grid machine vs. its description — share one cache entry; requests
-// scheduled by different algorithm generations never do.
+// scheduled by different algorithm generations never do. The hashed text
+// is rendered into one pooled buffer and hashed in a single call.
 func (j *scheduleJob) cacheKey(salt string) string {
-	h := sha256.New()
-	h.Write([]byte(salt))
-	h.Write([]byte{0})
-	h.Write([]byte(machine.Format(j.m)))
-	h.Write([]byte{0})
-	h.Write([]byte(j.scheme))
-	h.Write([]byte{0})
-	_ = ddgio.Write(h, j.g) // writes to a hash never fail
-	return hex.EncodeToString(h.Sum(nil))
+	bp := keyBufPool.Get().(*[]byte)
+	b := append((*bp)[:0], salt...)
+	b = append(b, 0)
+	b = machine.AppendFormat(b, j.m)
+	b = append(b, 0)
+	b = append(b, j.scheme...)
+	b = append(b, 0)
+	b = ddgio.AppendText(b, j.g)
+	sum := sha256.Sum256(b)
+	if cap(b) <= maxPooledKeyBuf {
+		*bp = b
+		keyBufPool.Put(bp)
+	}
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
+
+// keyBufPool recycles cacheKey's text buffers. A buffer that grew past
+// maxPooledKeyBuf for an outsized loop is left to the collector.
+var keyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+const maxPooledKeyBuf = 64 << 10
 
 // ScheduleCacheKey parses and validates a /v1/schedule body exactly as the
 // daemon's admission does and returns the request's content-address cache
@@ -442,7 +469,7 @@ func ScheduleCacheKey(body []byte) (string, error) {
 func buildResponse(j *scheduleJob, res *core.Result) *ScheduleResponse {
 	s := res.Schedule
 	return &ScheduleResponse{
-		Loop:         j.g.Name,
+		Loop:         ddgio.CanonicalName(j.g.Name),
 		Machine:      j.m.Name,
 		Scheme:       j.scheme,
 		MII:          res.MII,

@@ -154,6 +154,77 @@ func TestScheduleEquivalentEncodingsShareCache(t *testing.T) {
 	}
 }
 
+// TestLoopNameEchoesCanonicalName pins that equal cache keys mean equal
+// bytes. The key names a loop by its canonical text name (spaces become
+// underscores, an unnamed loop is "loop"), so the JSON loops "a b" and
+// "a_b" share an entry, as do "" and "loop". Whichever arrives second is
+// served the first one's bytes, so the response must name the loop the same
+// way: the hit each second name gets, as a singleton and inside a batch,
+// equals its cold answer on a fresh server.
+func TestLoopNameEchoesCanonicalName(t *testing.T) {
+	loop := func(name string) *ddgio.JSONLoop {
+		return &ddgio.JSONLoop{
+			Name: name, Niter: 100,
+			Nodes: []ddgio.JSONNode{{Op: "Load"}, {Op: "IntALU"}, {Op: "Store"}},
+			Edges: []ddgio.JSONEdge{{From: 0, To: 1, Lat: 2}, {From: 1, To: 2, Lat: 1}},
+		}
+	}
+	single := func(name string) []byte {
+		return scheduleBody(t, func(r *ScheduleRequest) { r.LoopText, r.Loop = "", loop(name) })
+	}
+	batch := func(name string) []byte {
+		b, err := json.Marshal(&BatchRequest{Clusters: 2, Regs: 32, Loops: []BatchLoop{{Loop: loop(name)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	post := func(ts *httptest.Server, path string, body []byte) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, resp.StatusCode, out)
+		}
+		return out
+	}
+	for _, names := range [][2]string{{"a b", "a_b"}, {"", "loop"}} {
+		first, second := names[0], names[1]
+		for _, tc := range []struct {
+			path string
+			body func(string) []byte
+		}{{"/v1/schedule", single}, {"/v1/schedule/batch", batch}} {
+			srv, ts := newTestServer(t, Config{})
+			post(ts, tc.path, tc.body(first))
+			warm := post(ts, tc.path, tc.body(second))
+			if hits, misses, _, _ := srv.Metrics(); hits != 1 || misses != 1 {
+				t.Fatalf("%s %q after %q: hits=%d misses=%d, want 1/1", tc.path, second, first, hits, misses)
+			}
+			_, fresh := newTestServer(t, Config{})
+			if cold := post(fresh, tc.path, tc.body(second)); !bytes.Equal(warm, cold) {
+				t.Errorf("%s %q after %q differs from its cold answer:\nhit:  %s\ncold: %s", tc.path, second, first, warm, cold)
+			}
+			var elems []ScheduleResponse
+			if err := json.Unmarshal(warm, &elems); err != nil {
+				elems = make([]ScheduleResponse, 1)
+				if err := json.Unmarshal(warm, &elems[0]); err != nil {
+					t.Fatalf("%s: %v", tc.path, err)
+				}
+			}
+			if elems[0].Loop != second {
+				t.Errorf("%s %q: response names the loop %q", tc.path, second, elems[0].Loop)
+			}
+		}
+	}
+}
+
 // TestScheduleCacheKeyStable pins the key derivation on two fixed bodies,
 // one on the grid and one with a machine text and a JSON loop: under the
 // gp/6 salt each key equals the hex the gp/6 binaries computed, and
