@@ -58,3 +58,29 @@ func specLoop(name string, i int) *workload.Loop {
 	}
 	panic("no SPECfp95 benchmark " + name)
 }
+
+// BenchmarkDSPSweepPass measures one pass of the perfledger dsp-sweep
+// compile set: the 52 DSP loops on the four machine.SweepSet machines
+// under GP and URACAM (416 compilations). Each compilation schedules a
+// fresh clone of its loop, as the ledger decodes a fresh graph per
+// compilation, so nothing a graph caches carries over between them.
+func BenchmarkDSPSweepPass(b *testing.B) {
+	machines := machine.SweepSet()
+	algs := []Algorithm{GP, URACAM}
+	corpus := workload.DSP()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range machines {
+			for _, alg := range algs {
+				for _, bm := range corpus {
+					for _, l := range bm.Loops {
+						if _, err := ScheduleLoop(l.G.Clone(), m, &Options{Algorithm: alg}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+	}
+}

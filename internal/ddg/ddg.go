@@ -94,10 +94,12 @@ type Graph struct {
 	// Caches built lazily by buildAdj and dropped by AddNode and AddEdge:
 	// out and in are the adjacency lists of edge indices, fwd and bwd the
 	// relaxation plans of the forward and backward longest-path passes
-	// (plan.go), and recs the Recurrences result once computed.
+	// (plan.go), recs the Recurrences result and sms the SMSGroups result
+	// once computed.
 	out, in  [][]int
 	fwd, bwd []segment
 	recs     []Recurrence
+	sms      *smsGroups
 	recsOK   bool
 	dirty    bool
 }
@@ -249,7 +251,7 @@ func (g *Graph) buildAdj() {
 		}
 	}
 	g.fwd, g.bwd = g.buildPlan(comps, compOf, true), g.buildPlan(comps, compOf, false)
-	g.recs, g.recsOK = nil, false
+	g.recs, g.recsOK, g.sms = nil, false, nil
 	g.dirty = false
 }
 
@@ -282,13 +284,14 @@ func adjacency(n int, edges []Edge, out bool) [][]int {
 }
 
 // Freeze precomputes every lazily built cache — the adjacency lists, the
-// relaxation plans and the recurrences — so that subsequent read-only use
-// of the graph (Out, In, Recurrences and every analysis built on them) is
-// safe for concurrent readers. The experiment harness calls this before
-// fanning a loop out to worker goroutines. Mutating the graph afterwards
-// (AddNode, AddEdge, AddDep) drops the caches and makes it unsafe for
-// concurrent use again until the next Freeze.
-func (g *Graph) Freeze() { g.Recurrences() }
+// relaxation plans, the recurrences and the SMS groups — so that
+// subsequent read-only use of the graph (Out, In, Recurrences, SMSGroups
+// and every analysis built on them) is safe for concurrent readers. The
+// experiment harness calls this before fanning a loop out to worker
+// goroutines. Mutating the graph afterwards (AddNode, AddEdge, AddDep)
+// drops the caches and makes it unsafe for concurrent use again until the
+// next Freeze.
+func (g *Graph) Freeze() { g.SMSGroups() }
 
 // Out returns the indices into Edges of v's outgoing edges.
 func (g *Graph) Out(v int) []int { g.buildAdj(); return g.out[v] }

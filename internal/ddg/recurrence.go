@@ -130,3 +130,135 @@ func less(a, b Recurrence) bool {
 	}
 	return a.Nodes[0] > b.Nodes[0]
 }
+
+// smsGroups is the SMSGroups result: group i is nodes[ends[i-1]:ends[i]],
+// the first starting at 0.
+type smsGroups struct {
+	nodes, ends []int
+}
+
+// SMSGroups returns the node sets of the Swing Modulo Scheduling order
+// (Llosa et al., PACT'96; paper §3.3.3) concatenated in nodes, group i
+// ending at ends[i]:
+//
+//   - one group per recurrence, in Recurrences order, that still has
+//     ungrouped nodes: those nodes and every ungrouped node on a path
+//     between the recurrence and the nodes grouped before it, in ID order;
+//   - then one group per weakly connected component of the remaining
+//     nodes, in ID order of the components' first nodes, each in the order
+//     a depth-first walk over the edges in index order meets them.
+//
+// The groups do not depend on the II, so like Recurrences they are
+// computed once per graph (Freeze computes them up front) and shared:
+// callers must treat both slices as read-only.
+func (g *Graph) SMSGroups() (nodes, ends []int) {
+	recs := g.Recurrences()
+	if g.sms != nil {
+		return g.sms.nodes, g.sms.ends
+	}
+	n := len(g.Nodes)
+	flags := make([]bool, 6*n)
+	grouped, member := flags[:n], flags[n:2*n]
+	fromPrev, toPrev, fromRec, toRec := flags[2*n:3*n], flags[3*n:4*n], flags[4*n:5*n], flags[5*n:]
+	// One slab holds the groups' nodes, their ends (at most one group per
+	// node) and the walks' stack (at most every node twice).
+	slab := make([]int, 4*n)
+	sms := &smsGroups{nodes: slab[:0:n], ends: slab[n : n : 2*n]}
+	stack := slab[2*n : 2*n : 4*n]
+	for _, rec := range recs {
+		clear(member)
+		fresh := false
+		for _, v := range rec.Nodes {
+			if !grouped[v] {
+				member[v] = true
+				fresh = true
+			}
+		}
+		if !fresh {
+			continue
+		}
+		// Nodes on paths between earlier groups and this recurrence: v
+		// with (grouped ⇝ v and v ⇝ rec) or (rec ⇝ v and v ⇝ grouped),
+		// each path at least one edge long.
+		stack = g.reach(fromPrev, sms.nodes, true, stack)
+		stack = g.reach(toPrev, sms.nodes, false, stack)
+		stack = g.reach(fromRec, rec.Nodes, true, stack)
+		stack = g.reach(toRec, rec.Nodes, false, stack)
+		for v := 0; v < n; v++ {
+			if !grouped[v] && !member[v] && (fromPrev[v] && toRec[v] || fromRec[v] && toPrev[v]) {
+				member[v] = true
+			}
+		}
+		for v := 0; v < n; v++ {
+			if member[v] {
+				sms.nodes = append(sms.nodes, v)
+				grouped[v] = true
+			}
+		}
+		sms.ends = append(sms.ends, len(sms.nodes))
+	}
+
+	// Remaining nodes: weakly connected components, in node-ID order. A
+	// node's neighbors are the other ends of its edges in index order,
+	// merged from its out- and in-lists (both in index order).
+	for v := 0; v < n; v++ {
+		if grouped[v] {
+			continue
+		}
+		stack = append(stack[:0], v)
+		grouped[v] = true
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			sms.nodes = append(sms.nodes, x)
+			out, in := g.out[x], g.in[x]
+			for len(out) > 0 || len(in) > 0 {
+				var e *Edge
+				if len(in) == 0 || len(out) > 0 && out[0] < in[0] {
+					e, out = &g.Edges[out[0]], out[1:]
+				} else {
+					e, in = &g.Edges[in[0]], in[1:]
+				}
+				w := e.To
+				if w == x {
+					w = e.From
+				}
+				if e.From != e.To && !grouped[w] {
+					grouped[w] = true
+					stack = append(stack, w)
+				}
+			}
+		}
+		sms.ends = append(sms.ends, len(sms.nodes))
+	}
+	g.sms = sms
+	return sms.nodes, sms.ends
+}
+
+// reach sets seen[v] for exactly the nodes v reachable from some source by
+// a path of at least one edge, along the edges (fwd) or against them. The
+// stack is scratch; reach returns it for reuse.
+func (g *Graph) reach(seen []bool, sources []int, fwd bool, stack []int) []int {
+	clear(seen)
+	stack = append(stack[:0], sources...)
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if fwd {
+			for _, ei := range g.out[x] {
+				if w := g.Edges[ei].To; !seen[w] {
+					seen[w] = true
+					stack = append(stack, w)
+				}
+			}
+		} else {
+			for _, ei := range g.in[x] {
+				if w := g.Edges[ei].From; !seen[w] {
+					seen[w] = true
+					stack = append(stack, w)
+				}
+			}
+		}
+	}
+	return stack
+}

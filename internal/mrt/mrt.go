@@ -31,6 +31,11 @@ type Table struct {
 	xfer [][]int
 	// occ is the number of consecutive slots one transfer occupies.
 	occ int
+	// fuUsed[c·NumUnitKinds + k] and xferUsed are the running sums of
+	// fu[c]'s kind-k slots and of every channel's slots, so the free-slot
+	// counts read a total instead of scanning the window.
+	fuUsed   []int
+	xferUsed int
 }
 
 // New returns an empty reservation table for machine m at initiation
@@ -50,6 +55,13 @@ func (t *Table) Reset(m *machine.Config, ii int) {
 	t.II, t.m, t.occ = ii, m, m.XferOccupancy()
 	t.fu = resetRows(t.fu, m.Clusters, isa.NumUnitKinds*ii)
 	t.xfer = resetRows(t.xfer, m.Channels(), ii)
+	if n := m.Clusters * isa.NumUnitKinds; cap(t.fuUsed) < n {
+		t.fuUsed = make([]int, n)
+	} else {
+		t.fuUsed = t.fuUsed[:n]
+		clear(t.fuUsed)
+	}
+	t.xferUsed = 0
 }
 
 // resetRows returns rows zeroed and shaped n × width, reusing storage.
@@ -90,6 +102,7 @@ func (t *Table) PlaceOp(c int, k isa.UnitKind, cycle int) {
 		panic(fmt.Sprintf("mrt: overfull %v slot, cluster %d cycle %d", k, c, cycle))
 	}
 	t.fu[c][i]++
+	t.fuUsed[c*isa.NumUnitKinds+int(k)]++
 }
 
 // RemoveOp releases a previously placed reservation.
@@ -99,6 +112,7 @@ func (t *Table) RemoveOp(c int, k isa.UnitKind, cycle int) {
 		panic(fmt.Sprintf("mrt: removing free %v slot, cluster %d cycle %d", k, c, cycle))
 	}
 	t.fu[c][i]--
+	t.fuUsed[c*isa.NumUnitKinds+int(k)]--
 }
 
 // Channel returns the transfer-channel index for a src→dst transfer: 0 for
@@ -152,6 +166,7 @@ func (t *Table) PlaceXfer(src, dst, start int) {
 	for d := 0; d < t.occ; d++ {
 		t.xfer[ch][t.slot(start+d)]++
 	}
+	t.xferUsed += t.occ
 }
 
 // RemoveXfer releases a transfer reservation made at start.
@@ -164,6 +179,7 @@ func (t *Table) RemoveXfer(src, dst, start int) {
 		}
 		t.xfer[ch][s]--
 	}
+	t.xferUsed -= t.occ
 }
 
 // MemAt returns the memory-port occupancy of cluster c at modulo slot s.
@@ -174,25 +190,40 @@ func (t *Table) MemAt(c, s int) int {
 // FreeOpSlots returns the number of free slots of kind k in cluster c
 // across one II window.
 func (t *Table) FreeOpSlots(c int, k isa.UnitKind) int {
-	total := t.m.UnitsIn(c, k) * t.II
-	used := 0
-	for s := 0; s < t.II; s++ {
-		used += t.fu[c][int(k)*t.II+s]
-	}
-	return total - used
+	return t.m.UnitsIn(c, k)*t.II - t.fuUsed[c*isa.NumUnitKinds+int(k)]
 }
 
 // FreeXferSlots returns the number of free transfer slot-cycles across one
 // II window, summed over every channel.
 func (t *Table) FreeXferSlots() int {
-	total := t.m.NBus * t.II * len(t.xfer)
-	used := 0
-	for ch := range t.xfer {
-		for s := 0; s < t.II; s++ {
-			used += t.xfer[ch][s]
+	return t.m.NBus*t.II*len(t.xfer) - t.xferUsed
+}
+
+// CheckTotals recounts the running totals behind FreeOpSlots and
+// FreeXferSlots from the slot counts and reports the first mismatch. It is
+// a consistency check for tests and debug builds, not for the hot path.
+func (t *Table) CheckTotals() error {
+	for c, row := range t.fu {
+		for k := 0; k < isa.NumUnitKinds; k++ {
+			n := 0
+			for _, x := range row[k*t.II : (k+1)*t.II] {
+				n += x
+			}
+			if got := t.fuUsed[c*isa.NumUnitKinds+k]; got != n {
+				return fmt.Errorf("mrt: cluster %d %v total %d, slots sum to %d", c, isa.UnitKind(k), got, n)
+			}
 		}
 	}
-	return total - used
+	n := 0
+	for _, row := range t.xfer {
+		for _, x := range row {
+			n += x
+		}
+	}
+	if t.xferUsed != n {
+		return fmt.Errorf("mrt: transfer total %d, slots sum to %d", t.xferUsed, n)
+	}
+	return nil
 }
 
 // XferUtilization returns used/total transfer slot-cycles, or 0 when the

@@ -1,6 +1,7 @@
 package mrt
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/isa"
@@ -253,5 +254,95 @@ func TestPipelinedBusSingleSlot(t *testing.T) {
 	small := New(m, 2)
 	if !small.CanPlaceXfer(0, 1, 0) {
 		t.Error("pipelined transfer with LatBus ≥ II must be accepted")
+	}
+}
+
+// scanFree is the scanning free-slot count the running totals replaced:
+// kind k's slots in cluster c, or every channel's slots when c < 0.
+func scanFree(t *Table, c int, k isa.UnitKind) int {
+	used := 0
+	if c < 0 {
+		for _, row := range t.xfer {
+			for _, x := range row {
+				used += x
+			}
+		}
+		return t.m.NBus*t.II*len(t.xfer) - used
+	}
+	for s := 0; s < t.II; s++ {
+		used += t.fu[c][int(k)*t.II+s]
+	}
+	return t.m.UnitsIn(c, k)*t.II - used
+}
+
+// TestRunningTotalsMatchScan places and removes random operations and
+// transfers on a shared bus, a pipelined bus and point-to-point links, and
+// after every step compares FreeOpSlots and FreeXferSlots with a scan of
+// the slots, and runs CheckTotals. A Reset must zero the totals.
+func TestRunningTotalsMatchScan(t *testing.T) {
+	pipe := machine.MustClustered(4, 64, 1, 2)
+	pipe.Pipelined = true
+	p2p := machine.MustClustered(4, 64, 1, 2)
+	p2p.Topology = machine.PointToPoint
+	for _, m := range []*machine.Config{machine.MustClustered(2, 32, 2, 2), pipe, p2p} {
+		r := rand.New(rand.NewSource(5))
+		tab := New(m, 5)
+		type op struct{ c, k, cyc, dst int }
+		var ops, xfers []op
+		placedXfers := 0
+		for step := 0; step < 400; step++ {
+			switch r.Intn(4) {
+			case 0:
+				o := op{c: r.Intn(m.Clusters), k: r.Intn(isa.NumUnitKinds), cyc: r.Intn(20) - 10}
+				if tab.CanPlaceOp(o.c, isa.UnitKind(o.k), o.cyc) {
+					tab.PlaceOp(o.c, isa.UnitKind(o.k), o.cyc)
+					ops = append(ops, o)
+				}
+			case 1:
+				o := op{c: r.Intn(m.Clusters), dst: r.Intn(m.Clusters), cyc: r.Intn(20) - 10}
+				if o.dst != o.c && tab.CanPlaceXfer(o.c, o.dst, o.cyc) {
+					tab.PlaceXfer(o.c, o.dst, o.cyc)
+					xfers = append(xfers, o)
+					placedXfers++
+				}
+			case 2:
+				if len(ops) > 0 {
+					i := r.Intn(len(ops))
+					o := ops[i]
+					ops = append(ops[:i], ops[i+1:]...)
+					tab.RemoveOp(o.c, isa.UnitKind(o.k), o.cyc)
+				}
+			default:
+				if len(xfers) > 0 {
+					i := r.Intn(len(xfers))
+					o := xfers[i]
+					xfers = append(xfers[:i], xfers[i+1:]...)
+					tab.RemoveXfer(o.c, o.dst, o.cyc)
+				}
+			}
+			if err := tab.CheckTotals(); err != nil {
+				t.Fatalf("%s step %d: %v", m.Name, step, err)
+			}
+			for c := 0; c < m.Clusters; c++ {
+				for k := 0; k < isa.NumUnitKinds; k++ {
+					if got, want := tab.FreeOpSlots(c, isa.UnitKind(k)), scanFree(tab, c, isa.UnitKind(k)); got != want {
+						t.Fatalf("%s step %d: FreeOpSlots(%d, %v) = %d, scan %d", m.Name, step, c, isa.UnitKind(k), got, want)
+					}
+				}
+			}
+			if got, want := tab.FreeXferSlots(), scanFree(tab, -1, 0); got != want {
+				t.Fatalf("%s step %d: FreeXferSlots = %d, scan %d", m.Name, step, got, want)
+			}
+		}
+		if placedXfers == 0 {
+			t.Fatalf("%s: the walk placed no transfer", m.Name)
+		}
+		tab.Reset(m, 3)
+		if got := tab.FreeXferSlots(); got != m.NBus*3*m.Channels() {
+			t.Errorf("%s: %d free transfer slots after Reset, want %d", m.Name, got, m.NBus*3*m.Channels())
+		}
+		if got := tab.FreeOpSlots(0, isa.MemUnit); got != m.UnitsIn(0, isa.MemUnit)*3 {
+			t.Errorf("%s: %d free memory slots after Reset, want %d", m.Name, got, m.UnitsIn(0, isa.MemUnit)*3)
+		}
 	}
 }

@@ -39,20 +39,6 @@ func (n *naive) remove(start, end int) {
 	}
 }
 
-func (n *naive) canAdd(spans []Span, regs int) bool {
-	tmp := make([]int, n.ii)
-	copy(tmp, n.live)
-	for _, sp := range spans {
-		for t := sp.Start; t < sp.End; t++ {
-			s := n.slot(t)
-			if tmp[s]++; tmp[s] > regs {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func (n *naive) fitsWith(rem, add []Span, regs int) bool {
 	tmp := make([]int, n.ii)
 	copy(tmp, n.live)
@@ -84,8 +70,10 @@ func randSpan(r *rand.Rand, ii int) Span {
 
 // TestPropClampedMatchesNaive drives random add/remove sequences through
 // the optimized tracker and the per-cycle reference in lockstep: the live
-// windows, MaxLive and Used must agree after every operation, and
-// CanAdd/FitsWith probes must return the same verdicts.
+// windows, the cached MaxLive and Used must agree after every operation,
+// and Fits probes must return the reference's verdict, with and without
+// removed spans, in windows that fit and in windows that already overflow.
+// Each probe must leave Fits' delta window zero.
 func TestPropClampedMatchesNaive(t *testing.T) {
 	f := func(seed int64, iiRaw uint8, regsRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -102,19 +90,18 @@ func TestPropClampedMatchesNaive(t *testing.T) {
 				added = append(added[:i], added[i+1:]...)
 				p.Remove(sp.Start, sp.End)
 				n.remove(sp.Start, sp.End)
-			case op == 1: // probe CanAdd
+			case op == 1: // probe Fits with added spans only
 				spans := []Span{randSpan(r, ii), randSpan(r, ii)}
-				if p.CanAdd(spans, regs) != n.canAdd(spans, regs) {
+				if p.Fits(nil, spans, regs) != n.fitsWith(nil, spans, regs) {
 					return false
 				}
-			case op == 2: // probe FitsWith over a subset of live spans
+			case op == 2: // probe Fits over a subset of live spans
 				var rem []Span
 				if len(added) > 0 {
 					rem = []Span{added[r.Intn(len(added))]}
 				}
 				add := []Span{randSpan(r, ii)}
-				scratch := make([]int, ii)
-				if p.FitsWith(rem, add, regs, scratch) != n.fitsWith(rem, add, regs) {
+				if p.Fits(rem, add, regs) != n.fitsWith(rem, add, regs) {
 					return false
 				}
 			default:
@@ -123,11 +110,11 @@ func TestPropClampedMatchesNaive(t *testing.T) {
 				p.Add(sp.Start, sp.End)
 				n.add(sp.Start, sp.End)
 			}
-			if p.MaxLive() != maxOf(n.live) || p.Used() != n.used {
+			if p.MaxLive() != maxOf(n.live) || p.Used() != n.used || p.Check() != nil {
 				return false
 			}
 			for s := 0; s < ii; s++ {
-				if p.live[s] != n.live[s] {
+				if p.live[s] != n.live[s] || p.delta[s] != 0 {
 					return false
 				}
 			}

@@ -15,10 +15,17 @@ import "fmt"
 
 // Pressure tracks live-value counts per modulo slot for one cluster.
 type Pressure struct {
-	II      int
-	live    []int
-	used    int64 // total live slot-units across the window
-	scratch []int // CanAdd probe window, lazily allocated and retained
+	II   int
+	live []int
+	used int64 // total live slot-units across the window
+
+	// max is MaxLive and nmax the number of slots at it, both valid while
+	// maxOK. Adding keeps them exact; removing from the last slot at max
+	// clears maxOK, and the next MaxLive rescans.
+	max, nmax int
+	maxOK     bool
+
+	delta []int // Fits' net-delta window, all zero between calls
 }
 
 // New returns an empty pressure tracker at initiation interval ii ≥ 1.
@@ -35,16 +42,20 @@ func (p *Pressure) Reset(ii int) {
 		panic(fmt.Sprintf("regpress: II %d < 1", ii))
 	}
 	p.II, p.used = ii, 0
-	if cap(p.live) < ii {
-		p.live = make([]int, ii)
+	p.max, p.nmax, p.maxOK = 0, ii, true
+	p.live = zeroed(p.live, ii)
+	p.delta = zeroed(p.delta, ii)
+}
+
+// zeroed returns s with length n and every entry zero, reusing its array
+// when large enough.
+func zeroed(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
 	}
-	p.live = p.live[:ii]
-	clear(p.live)
-	if cap(p.scratch) < ii {
-		p.scratch = nil
-	} else {
-		p.scratch = p.scratch[:ii]
-	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // spanApply adds delta to every slot covered by [start, end), walking at
@@ -80,7 +91,33 @@ func spanApply(buf []int, ii, start, end, delta int) int {
 // Add marks a value live over [start, end). Empty or inverted intervals are
 // no-ops.
 func (p *Pressure) Add(start, end int) {
-	p.used += int64(spanApply(p.live, p.II, start, end, 1))
+	length := end - start
+	if length <= 0 {
+		return
+	}
+	if q := length / p.II; q > 0 {
+		for s := range p.live {
+			p.live[s] += q
+		}
+		p.max += q // every slot rose by q, so the slots at max are the same
+	}
+	r := length % p.II
+	s := start % p.II
+	if s < 0 {
+		s += p.II
+	}
+	for i := 0; i < r; i++ {
+		p.live[s]++
+		if v := p.live[s]; v > p.max {
+			p.max, p.nmax = v, 1
+		} else if v == p.max {
+			p.nmax++
+		}
+		if s++; s == p.II {
+			s = 0
+		}
+	}
+	p.used += int64(length)
 }
 
 // Remove undoes a prior Add of exactly [start, end).
@@ -95,6 +132,7 @@ func (p *Pressure) Remove(start, end int) {
 				panic(fmt.Sprintf("regpress: removing from empty slot %d", s))
 			}
 		}
+		p.max -= q
 	}
 	r := length % p.II
 	s := start % p.II
@@ -102,6 +140,11 @@ func (p *Pressure) Remove(start, end int) {
 		s += p.II
 	}
 	for i := 0; i < r; i++ {
+		if p.live[s] == p.max {
+			if p.nmax--; p.nmax == 0 {
+				p.maxOK = false
+			}
+		}
 		if p.live[s]--; p.live[s] < 0 {
 			panic(fmt.Sprintf("regpress: removing from empty slot %d", s))
 		}
@@ -112,15 +155,27 @@ func (p *Pressure) Remove(start, end int) {
 	p.used -= int64(length)
 }
 
-// MaxLive returns the maximum simultaneous live count across slots.
+// MaxLive returns the maximum simultaneous live count across slots. It is
+// cached: only a removal from the last slot at the maximum makes the next
+// call rescan the window.
 func (p *Pressure) MaxLive() int {
-	m := 0
+	if !p.maxOK {
+		p.rescan()
+	}
+	return p.max
+}
+
+// rescan recomputes max and nmax from the window.
+func (p *Pressure) rescan() {
+	p.max, p.nmax = 0, 0
 	for _, v := range p.live {
-		if v > m {
-			m = v
+		if v > p.max {
+			p.max, p.nmax = v, 1
+		} else if v == p.max {
+			p.nmax++
 		}
 	}
-	return m
+	p.maxOK = true
 }
 
 // Used returns the total live slot-units.
@@ -147,78 +202,122 @@ func (s Span) Len() int {
 	return s.End - s.Start
 }
 
-// CanAdd reports whether adding all spans keeps MaxLive ≤ regs. It does not
-// modify the tracker. The scratch window is retained on the tracker, so
-// repeated probes allocate nothing after the first.
-func (p *Pressure) CanAdd(spans []Span, regs int) bool {
-	if len(spans) == 0 {
-		return p.MaxLive() <= regs
-	}
-	if p.scratch == nil {
-		p.scratch = make([]int, p.II)
-	}
-	tmp := p.scratch
-	copy(tmp, p.live)
-	for _, sp := range spans {
-		spanApply(tmp, p.II, sp.Start, sp.End, 1)
-	}
-	// The naive walk rejects only when a slot it increments exceeds regs —
-	// pre-existing overflow in slots the spans never touch does not fail
-	// the probe — and counts only grow while adding, so checking each
-	// span's covered slots after applying everything is equivalent.
-	for _, sp := range spans {
-		length := sp.End - sp.Start
-		if length <= 0 {
-			continue
+// Fits reports whether, after removing the rem spans and adding the add
+// spans, every slot holds at most regs live values. The tracker is not
+// modified.
+//
+// Only the net delta decides, and a window that already fits can overflow
+// only where that delta is positive, which only add spans cover. A span of
+// length L raises a slot by at most ⌈L/II⌉, so MaxLive plus that sum over
+// the add spans settles most calls without touching a slot; the rest check
+// exactly the slots the add spans cover. A window that already overflows
+// is checked whole.
+func (p *Pressure) Fits(rem, add []Span, regs int) bool {
+	m := p.MaxLive()
+	if m <= regs {
+		bound := m
+		for _, sp := range add {
+			bound += (sp.Len() + p.II - 1) / p.II
 		}
-		if length >= p.II {
-			// Whole window covered: one scan settles every span.
-			for _, v := range tmp {
-				if v > regs {
-					return false
-				}
-			}
+		if bound <= regs {
 			return true
+		}
+	}
+	d := p.delta
+	for _, sp := range rem {
+		spanApply(d, p.II, sp.Start, sp.End, -1)
+	}
+	for _, sp := range add {
+		spanApply(d, p.II, sp.Start, sp.End, 1)
+	}
+	ok := true
+	if m > regs {
+		for s, v := range p.live {
+			if v+d[s] > regs {
+				ok = false
+				break
+			}
+		}
+	} else {
+		for _, sp := range add {
+			if !p.within(sp, regs) {
+				ok = false
+				break
+			}
+		}
+	}
+	p.clearDelta(rem)
+	p.clearDelta(add)
+	return ok
+}
+
+// within reports whether every slot sp covers holds at most regs live
+// values with the delta window applied.
+func (p *Pressure) within(sp Span, regs int) bool {
+	n := min(sp.Len(), p.II)
+	s := sp.Start % p.II
+	if s < 0 {
+		s += p.II
+	}
+	for i := 0; i < n; i++ {
+		if p.live[s]+p.delta[s] > regs {
+			return false
+		}
+		if s++; s == p.II {
+			s = 0
+		}
+	}
+	return true
+}
+
+// clearDelta zeroes the delta window's slots the spans cover.
+func (p *Pressure) clearDelta(spans []Span) {
+	for _, sp := range spans {
+		n := sp.Len()
+		if n >= p.II {
+			clear(p.delta)
+			return
 		}
 		s := sp.Start % p.II
 		if s < 0 {
 			s += p.II
 		}
-		for i := 0; i < length; i++ {
-			if tmp[s] > regs {
-				return false
-			}
+		for i := 0; i < n; i++ {
+			p.delta[s] = 0
 			if s++; s == p.II {
 				s = 0
 			}
 		}
 	}
-	return true
 }
 
-// FitsWith reports whether, after removing the rem spans and adding the
-// add spans, MaxLive stays within regs. scratch must have length II; it is
-// overwritten (callers reuse one buffer to avoid allocation). The tracker
-// itself is not modified.
-func (p *Pressure) FitsWith(rem, add []Span, regs int, scratch []int) bool {
-	copy(scratch, p.live)
-	for _, sp := range rem {
-		spanApply(scratch, p.II, sp.Start, sp.End, -1)
+// Slot returns the live count of modulo slot s, 0 ≤ s < II.
+func (p *Pressure) Slot(s int) int { return p.live[s] }
+
+// Check reports an error when the cached MaxLive or the used units
+// disagree with the slot counts. It is a consistency check for tests and
+// debug builds, not for the hot path.
+func (p *Pressure) Check() error {
+	var m int
+	var sum int64
+	for _, v := range p.live {
+		m = max(m, v)
+		sum += int64(v)
 	}
-	for _, sp := range add {
-		spanApply(scratch, p.II, sp.Start, sp.End, 1)
+	if sum != p.used {
+		return fmt.Errorf("regpress: used %d, slots sum to %d", p.used, sum)
 	}
-	for _, v := range scratch {
-		if v > regs {
-			return false
+	if got := p.MaxLive(); got != m {
+		return fmt.Errorf("regpress: cached MaxLive %d, slots peak at %d", got, m)
+	}
+	at := 0
+	for _, v := range p.live {
+		if v == m {
+			at++
 		}
 	}
-	return true
-}
-
-// Clone returns an independent copy.
-func (p *Pressure) Clone() *Pressure {
-	c := &Pressure{II: p.II, used: p.used, live: make([]int, p.II)}
-	copy(c.live, p.live)
-	return c
+	if p.nmax != at {
+		return fmt.Errorf("regpress: %d slots cached at MaxLive %d, %d counted", p.nmax, m, at)
+	}
+	return nil
 }

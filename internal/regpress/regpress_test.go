@@ -73,29 +73,66 @@ func TestFreeCapacity(t *testing.T) {
 	}
 }
 
-func TestCanAdd(t *testing.T) {
+func TestFits(t *testing.T) {
 	p := New(2)
 	p.Add(0, 2) // one value live the whole window
-	if !p.CanAdd([]Span{{0, 2}}, 2) {
-		t.Error("CanAdd refused second value with 2 registers")
+	if !p.Fits(nil, []Span{{0, 2}}, 2) {
+		t.Error("Fits refused second value with 2 registers")
 	}
-	if p.CanAdd([]Span{{0, 2}}, 1) {
-		t.Error("CanAdd allowed overflow with 1 register")
+	if p.Fits(nil, []Span{{0, 2}}, 1) {
+		t.Error("Fits allowed overflow with 1 register")
 	}
-	// CanAdd must not mutate.
+	if !p.Fits([]Span{{0, 2}}, []Span{{1, 3}}, 1) {
+		t.Error("Fits refused to replace the only value with 1 register")
+	}
+	// Fits must not mutate.
 	if p.Used() != 2 || p.MaxLive() != 1 {
-		t.Errorf("CanAdd mutated tracker: used=%d maxlive=%d", p.Used(), p.MaxLive())
+		t.Errorf("Fits mutated tracker: used=%d maxlive=%d", p.Used(), p.MaxLive())
 	}
 }
 
-func TestCanAddNoSpans(t *testing.T) {
+func TestFitsNoSpans(t *testing.T) {
 	p := New(2)
 	p.Add(0, 4) // MaxLive 2
-	if !p.CanAdd(nil, 2) {
-		t.Error("CanAdd(nil) should report current feasibility")
+	if !p.Fits(nil, nil, 2) {
+		t.Error("Fits(nil, nil) should report current feasibility")
 	}
-	if p.CanAdd(nil, 1) {
-		t.Error("CanAdd(nil) should reject when already over")
+	if p.Fits(nil, nil, 1) {
+		t.Error("Fits(nil, nil) should reject when already over")
+	}
+}
+
+// TestMaxLiveCache follows the cached MaxLive through removals of the
+// last slot at the maximum, removals that leave another slot there, and
+// whole-window spans (II 4; the comments give the slot counts).
+func TestMaxLiveCache(t *testing.T) {
+	p := New(4)
+	p.Add(0, 2) // 1 1 0 0
+	p.Add(1, 3) // 1 2 1 0
+	p.Add(5, 6) // 1 3 1 0
+	steps := []struct {
+		add        bool
+		start, end int
+		want       int
+	}{
+		{false, 5, 6, 2}, // 1 2 1 0: the last slot at 3 drops
+		{true, 0, 9, 4},  // 4 4 3 2: twice the whole window, then slot 0
+		{false, 1, 3, 4}, // 4 3 2 2: slot 0 still at 4
+		{false, 0, 2, 3}, // 3 2 2 2
+		{false, 0, 9, 0}, // 0 0 0 0
+	}
+	for i, st := range steps {
+		if st.add {
+			p.Add(st.start, st.end)
+		} else {
+			p.Remove(st.start, st.end)
+		}
+		if err := p.Check(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if got := p.MaxLive(); got != st.want {
+			t.Errorf("step %d: MaxLive %d, want %d", i, got, st.want)
+		}
 	}
 }
 
@@ -115,19 +152,6 @@ func TestSpanLen(t *testing.T) {
 	}
 	if (Span{7, 3}).Len() != 0 {
 		t.Error("inverted span must have length 0")
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	p := New(3)
-	p.Add(0, 5)
-	c := p.Clone()
-	c.Add(0, 3)
-	if p.Used() != 5 {
-		t.Errorf("mutating clone changed original: used=%d", p.Used())
-	}
-	if c.Used() != 8 {
-		t.Errorf("clone used=%d, want 8", c.Used())
 	}
 }
 

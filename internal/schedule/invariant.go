@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ddg"
 	"repro/internal/isa"
+	"repro/internal/regpress"
 )
 
 // debugChecks enables per-placement invariant checking inside TrySchedule.
@@ -12,8 +13,10 @@ import (
 var debugChecks = false
 
 // checkInvariants validates the partial schedule: every dependence between
-// two scheduled nodes must hold under the value's actual routing, and every
-// value's recorded use bounds must match the scheduled consumers.
+// two scheduled nodes must hold under the value's actual routing, every
+// value's recorded use bounds must match the scheduled consumers, and the
+// incrementally kept pressure windows, MaxLive caches and free-slot totals
+// must match a recount.
 func (st *state) checkInvariants() error {
 	g, m, ii := st.g, st.m, st.ii
 	for i, e := range g.Edges {
@@ -44,10 +47,34 @@ func (st *state) checkInvariants() error {
 			return fmt.Errorf("edge %d: use %d in cluster %d not recorded (maxUse=%v)", i, e.From, c, val.maxUse)
 		}
 	}
+	// The incremental state: each cluster's pressure window against a
+	// recount from every value's spans, its cached MaxLive against its
+	// window, and the reservation table's running totals against its slots.
+	var spans []regpress.Span
 	for c := 0; c < m.Clusters; c++ {
+		if err := st.press[c].Check(); err != nil {
+			return fmt.Errorf("cluster %d: %v", c, err)
+		}
+		ref := regpress.New(ii)
+		for _, val := range st.vals {
+			if val != nil {
+				spans = val.appendSpans(spans[:0], c, m)
+				for _, sp := range spans {
+					ref.Add(sp.Start, sp.End)
+				}
+			}
+		}
+		for s := 0; s < ii; s++ {
+			if got, want := st.press[c].Slot(s), ref.Slot(s); got != want {
+				return fmt.Errorf("cluster %d slot %d: %d live, the values' spans give %d", c, s, got, want)
+			}
+		}
 		if st.maxLive(c) > m.RegsIn(c) {
 			return fmt.Errorf("cluster %d MaxLive %d > %d", c, st.maxLive(c), m.RegsIn(c))
 		}
+	}
+	if err := st.rt.CheckTotals(); err != nil {
+		return err
 	}
 	// Spill/memory ops must sit on valid cycles.
 	for id, val := range st.vals {

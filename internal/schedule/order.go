@@ -29,69 +29,28 @@ func Order(g *ddg.Graph, m *machine.Config, ii int) []int {
 type orderState struct {
 	out     []int
 	ordered []bool
-	preds   adjacency
-	succs   adjacency
 
 	inGroup, td, bu, seed nodeSet
-
-	// buildGroups
-	groupNodes []int // the groups' nodes, concatenated
-	groupEnd   []int // end offset of each group in groupNodes
-	reach      []bool
-	grouped    []bool
-	member     []bool
-	undirected adjacency
-	stack      []int
 }
 
-// adjacency is a compressed neighbor list: node v's neighbors are
-// nbr[start[v]:start[v+1]], in dependence-edge order.
-type adjacency struct {
-	start, nbr []int
+// hasOrderedPred reports whether a predecessor of v other than v itself is
+// ordered; hasOrderedSucc is the same for successors.
+func (o *orderState) hasOrderedPred(g *ddg.Graph, v int) bool {
+	for _, ei := range g.In(v) {
+		if u := g.Edges[ei].From; u != v && o.ordered[u] {
+			return true
+		}
+	}
+	return false
 }
 
-func (a *adjacency) of(v int) []int { return a.nbr[a.start[v]:a.start[v+1]] }
-
-// build collects, for every edge between distinct nodes, To as a neighbor
-// of From (fwd) and From as a neighbor of To (back).
-func (a *adjacency) build(g *ddg.Graph, fwd, back bool) {
-	n := g.N()
-	a.start = resize(a.start, n+1)
-	clear(a.start)
-	for _, e := range g.Edges {
-		if e.From == e.To {
-			continue
-		}
-		if fwd {
-			a.start[e.From+1]++
-		}
-		if back {
-			a.start[e.To+1]++
+func (o *orderState) hasOrderedSucc(g *ddg.Graph, v int) bool {
+	for _, ei := range g.Out(v) {
+		if w := g.Edges[ei].To; w != v && o.ordered[w] {
+			return true
 		}
 	}
-	for v := 0; v < n; v++ {
-		a.start[v+1] += a.start[v]
-	}
-	a.nbr = resize(a.nbr, a.start[n])
-	// Fill in edge order, advancing start[v] as a cursor to v's end (the
-	// next node's beginning), then shift the offsets back into place.
-	for _, e := range g.Edges {
-		if e.From == e.To {
-			continue
-		}
-		if fwd {
-			a.nbr[a.start[e.From]] = e.To
-			a.start[e.From]++
-		}
-		if back {
-			a.nbr[a.start[e.To]] = e.From
-			a.start[e.To]++
-		}
-	}
-	for v := n; v > 0; v-- {
-		a.start[v] = a.start[v-1]
-	}
-	a.start[0] = 0
+	return false
 }
 
 // nodeSet is a set of node IDs with constant-time add, delete and
@@ -142,16 +101,16 @@ func (o *orderState) order(g *ddg.Graph, times *ddg.Times) []int {
 	if n == 0 {
 		return nil
 	}
-	o.buildGroups(g)
+	groupNodes, groupEnd := g.SMSGroups()
+	if h := probeReference; h != nil {
+		groupNodes, groupEnd = h.groups(g)
+	}
 	o.ordered = resize(o.ordered, n)
 	clear(o.ordered)
 	out := o.out[:0]
 
-	// Adjacency over all dependence edges (data and memory ordering alike:
-	// both constrain placement windows).
-	o.preds.build(g, false, true)
-	o.succs.build(g, true, false)
-
+	// Neighbors are taken over all dependence edges (data and memory
+	// ordering alike: both constrain placement windows).
 	mobility := func(v int) int { return times.Latest[v] - times.Earliest[v] }
 
 	// pick returns the best candidate of set under the sweep direction:
@@ -192,8 +151,8 @@ func (o *orderState) order(g *ddg.Graph, times *ddg.Times) []int {
 		set.init(n)
 	}
 	begin := 0
-	for _, end := range o.groupEnd {
-		group := o.groupNodes[begin:end]
+	for _, end := range groupEnd {
+		group := groupNodes[begin:end]
 		begin = end
 		inGroup.clear()
 		for _, v := range group {
@@ -207,17 +166,11 @@ func (o *orderState) order(g *ddg.Graph, times *ddg.Times) []int {
 			td.clear()
 			bu.clear()
 			for _, v := range inGroup.items {
-				for _, p := range o.preds.of(v) {
-					if o.ordered[p] {
-						td.add(v)
-						break
-					}
+				if o.hasOrderedPred(g, v) {
+					td.add(v)
 				}
-				for _, s := range o.succs.of(v) {
-					if o.ordered[s] {
-						bu.add(v)
-						break
-					}
+				if o.hasOrderedSucc(g, v) {
+					bu.add(v)
 				}
 			}
 			topDown := true
@@ -245,13 +198,17 @@ func (o *orderState) order(g *ddg.Graph, times *ddg.Times) []int {
 				inGroup.del(v)
 				out = append(out, v)
 				// Grow the frontier along the sweep direction.
-				next := o.preds.of(v)
 				if topDown {
-					next = o.succs.of(v)
-				}
-				for _, w := range next {
-					if inGroup.has(w) && !o.ordered[w] {
-						frontier.add(w)
+					for _, ei := range g.Out(v) {
+						if w := g.Edges[ei].To; inGroup.has(w) && !o.ordered[w] {
+							frontier.add(w)
+						}
+					}
+				} else {
+					for _, ei := range g.In(v) {
+						if w := g.Edges[ei].From; inGroup.has(w) && !o.ordered[w] {
+							frontier.add(w)
+						}
 					}
 				}
 				if len(frontier.items) == 0 {
@@ -259,15 +216,8 @@ func (o *orderState) order(g *ddg.Graph, times *ddg.Times) []int {
 					// nodes adjacent to what has been ordered so far.
 					topDown = !topDown
 					for _, w := range inGroup.items {
-						adj := o.preds.of(w)
-						if !topDown {
-							adj = o.succs.of(w)
-						}
-						for _, x := range adj {
-							if o.ordered[x] {
-								frontier.add(w)
-								break
-							}
+						if topDown && o.hasOrderedPred(g, w) || !topDown && o.hasOrderedSucc(g, w) {
+							frontier.add(w)
 						}
 					}
 					if len(frontier.items) == 0 {
@@ -279,121 +229,4 @@ func (o *orderState) order(g *ddg.Graph, times *ddg.Times) []int {
 	}
 	o.out = out
 	return out
-}
-
-// buildGroups computes the SMS set list into groupNodes/groupEnd: one group
-// per recurrence in decreasing RecMII order, each union the nodes on paths
-// between it and the previously grouped nodes; remaining nodes form one
-// final group per weakly-connected component.
-func (o *orderState) buildGroups(g *ddg.Graph) {
-	n := g.N()
-	recs := g.Recurrences()
-	o.grouped = resize(o.grouped, n)
-	clear(o.grouped)
-	o.member = resize(o.member, n)
-	o.groupNodes, o.groupEnd = o.groupNodes[:0], o.groupEnd[:0]
-	grouped, member := o.grouped, o.member
-
-	o.reachability(g)
-	reach := func(from, to int) bool { return o.reach[from*n+to] }
-
-	for _, rec := range recs {
-		clear(member)
-		fresh := false
-		for _, v := range rec.Nodes {
-			if !grouped[v] {
-				member[v] = true
-				fresh = true
-			}
-		}
-		if !fresh {
-			continue
-		}
-		// Nodes on paths between earlier groups and this recurrence:
-		// v with (grouped ⇝ v and v ⇝ rec) or (rec ⇝ v and v ⇝ grouped).
-		for v := 0; v < n; v++ {
-			if grouped[v] || member[v] {
-				continue
-			}
-			fromPrev, toPrev := false, false
-			for w := 0; w < n; w++ {
-				if grouped[w] {
-					if reach(w, v) {
-						fromPrev = true
-					}
-					if reach(v, w) {
-						toPrev = true
-					}
-				}
-			}
-			toRec, fromRec := false, false
-			for _, w := range rec.Nodes {
-				if reach(v, w) {
-					toRec = true
-				}
-				if reach(w, v) {
-					fromRec = true
-				}
-			}
-			if (fromPrev && toRec) || (fromRec && toPrev) {
-				member[v] = true
-			}
-		}
-		for v := 0; v < n; v++ {
-			if member[v] {
-				o.groupNodes = append(o.groupNodes, v)
-				grouped[v] = true
-			}
-		}
-		o.groupEnd = append(o.groupEnd, len(o.groupNodes))
-	}
-
-	// Remaining nodes: weakly-connected components, in node-ID order.
-	o.undirected.build(g, true, true)
-	for v := 0; v < n; v++ {
-		if grouped[v] {
-			continue
-		}
-		stack := append(o.stack[:0], v)
-		grouped[v] = true
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			o.groupNodes = append(o.groupNodes, x)
-			for _, w := range o.undirected.of(x) {
-				if !grouped[w] {
-					grouped[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-		o.stack = stack
-		o.groupEnd = append(o.groupEnd, len(o.groupNodes))
-	}
-}
-
-// reachability fills o.reach with the transitive closure over all edges:
-// reach[v·n+w] reports a path v ⇝ w of at least one edge, w ≠ v (one DFS
-// per node; loop bodies are small).
-func (o *orderState) reachability(g *ddg.Graph) {
-	n := g.N()
-	o.reach = resize(o.reach, n*n)
-	clear(o.reach)
-	for v := 0; v < n; v++ {
-		row := o.reach[v*n : (v+1)*n]
-		row[v] = true // seen; cleared below
-		stack := append(o.stack[:0], v)
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, ei := range g.Out(x) {
-				if w := g.Edges[ei].To; !row[w] {
-					row[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-		o.stack = stack
-		row[v] = false
-	}
 }

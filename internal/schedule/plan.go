@@ -1,9 +1,6 @@
 package schedule
 
 import (
-	"cmp"
-	"slices"
-
 	"repro/internal/ddg"
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -74,6 +71,7 @@ type plan struct {
 	moves []movePlan
 	loads []loadPlan
 	uses  []usePlan
+	regs  []regChange // the register change checkRegs checked
 
 	merit merit
 }
@@ -127,12 +125,16 @@ type probe struct {
 	memUsed   []int64     // per cluster: tentative memory slots taken
 	addUnits  []int64     // per cluster: net lifetime units added
 
-	views    []*view // view slots; the first nviews are live
-	nviews   int
-	rem      []regpress.Span
-	add      []regpress.Span
-	sim      []int // FitsWith window
-	lastFail int   // cluster whose register check failed last (checkRegs)
+	// Register-delta scratch (regs.go): the (value, cluster) pairs whose
+	// spans a plan can change and their clusters, the values among them
+	// (touchAll), one pair's spans before and after, and one cluster's
+	// removed and added spans.
+	touches  []touch
+	visit    []bool
+	ids      []int
+	old, new []regpress.Span
+	rem, add []regpress.Span
+	lastFail int // cluster whose register check failed last (checkRegs)
 
 	plans []*plan // free plans
 }
@@ -176,14 +178,6 @@ type movedXfer struct {
 	val, dest, start int
 }
 
-// view is a hypothetical copy of a value under the plan being checked.
-type view struct {
-	id  int
-	val *value // the committed value; nil for the placed node's own value
-	tmp value
-	buf []int // tmp's backing
-}
-
 // reset sizes the probe scratch for st's attempt.
 func (pr *probe) reset(st *state) {
 	m, ii := st.m, st.ii
@@ -193,7 +187,7 @@ func (pr *probe) reset(st *state) {
 	pr.crossNeed = resize(pr.crossNeed, m.Clusters)
 	pr.memUsed = resize(pr.memUsed, m.Clusters)
 	pr.addUnits = resize(pr.addUnits, m.Clusters)
-	pr.sim = resize(pr.sim, ii)
+	pr.visit = resize(pr.visit, m.Clusters)
 	pr.lastFail = 0
 }
 
@@ -210,7 +204,6 @@ func (pr *probe) begin() {
 	fillAbsent(pr.crossNeed)
 	clear(pr.memUsed)
 	clear(pr.addUnits)
-	pr.nviews = 0
 }
 
 // newPlan returns an empty plan for v at (c, t), recycled when possible.
@@ -223,7 +216,7 @@ func (pr *probe) newPlan(v, c, t int) *plan {
 	}
 	p.v, p.cluster, p.t = v, c, t
 	p.comms, p.moves, p.loads, p.uses = p.comms[:0], p.moves[:0], p.loads[:0], p.uses[:0]
-	p.merit = p.merit[:0]
+	p.regs, p.merit = p.regs[:0], p.merit[:0]
 	return p
 }
 
@@ -238,20 +231,6 @@ func (pr *probe) freePlan(p *plan) {
 func (pr *probe) fail(p *plan, reason FailReason) (*plan, FailReason) {
 	pr.freePlan(p)
 	return nil, reason
-}
-
-// newView claims a view slot for value id (committed value val, or nil for
-// the placed node's own), reset to a fresh value in cluster home at def.
-func (pr *probe) newView(id int, val *value, home, def, clusters int) *view {
-	if pr.nviews == len(pr.views) {
-		pr.views = append(pr.views, new(view))
-	}
-	vw := pr.views[pr.nviews]
-	pr.nviews++
-	vw.id, vw.val = id, val
-	vw.buf = resize(vw.buf, valueInts*clusters)
-	vw.tmp.reset(home, def, clusters, vw.buf)
-	return vw
 }
 
 // slot returns the modulo slot of cycle cyc.
@@ -557,8 +536,7 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 		}
 	}
 
-	// Register capacity: rebuild the spans of every touched value under the
-	// planned routing and check each affected cluster.
+	// Register capacity: the spans the plan changes, cluster by cluster.
 	if !st.checkRegs(p, def) {
 		return pr.fail(p, FailRegs)
 	}
@@ -582,9 +560,22 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 	for cl := 0; cl < m.Clusters; cl++ {
 		fm = append(fm, fraction(pr.addUnits[cl], st.freeLifetime(cl)))
 	}
-	slices.SortFunc(fm, func(a, b float64) int { return cmp.Compare(b, a) })
+	sortDecreasing(fm)
 	p.merit = fm
 	return p, FailNone
+}
+
+// sortDecreasing sorts the merit components in decreasing order by
+// insertion: there are 2·NClusters+1 of them, all finite, so the order is
+// the one any sort gives.
+func sortDecreasing(fm merit) {
+	for i := 1; i < len(fm); i++ {
+		x, j := fm[i], i
+		for ; j > 0 && fm[j-1] < x; j-- {
+			fm[j] = fm[j-1]
+		}
+		fm[j] = x
+	}
 }
 
 // fraction returns used/free, saturating at 1 when free is exhausted.
@@ -600,111 +591,6 @@ func fraction(used, free int64) float64 {
 		return 1
 	}
 	return f
-}
-
-// view returns the hypothetical copy of value id under the plan being
-// checked, copying the committed value on first use.
-func (st *state) view(id int) *value {
-	pr := &st.probe
-	for _, vw := range pr.views[:pr.nviews] {
-		if vw.id == id {
-			return &vw.tmp
-		}
-	}
-	val := st.vals[id]
-	vw := pr.newView(id, val, val.home, val.def, st.m.Clusters)
-	vw.tmp.copyFrom(val)
-	return &vw.tmp
-}
-
-// setXfer records a planned transfer start on a hypothetical value: the
-// broadcast start for the shared bus, one dests entry per link on
-// point-to-point machines.
-func setXfer(tmp *value, dest, start int) {
-	if dest < 0 {
-		if tmp.comm == nil {
-			tmp.comm = tmp.newComm(false, 0)
-		}
-		tmp.comm.start = start
-		return
-	}
-	if tmp.comm == nil {
-		tmp.comm = tmp.newComm(true, 0)
-	} else if tmp.comm.dests == nil {
-		tmp.comm.dests = fillAbsent(tmp.routes[:len(tmp.minUse)])
-	}
-	tmp.comm.dests[dest] = start
-}
-
-// checkRegs verifies that applying p keeps every cluster's MaxLive within
-// the register file, and accumulates the net added lifetime units per
-// cluster into the probe's addUnits. It never mutates the schedule.
-func (st *state) checkRegs(p *plan, def int) bool {
-	m, pr := st.m, &st.probe
-	if st.g.Nodes[p.v].Op.ProducesValue() {
-		pr.newView(p.v, nil, p.cluster, def, m.Clusters)
-	}
-	for _, mv := range p.moves {
-		setXfer(st.view(mv.val), mv.dest, mv.new)
-	}
-	for _, cp := range p.comms {
-		setXfer(st.view(cp.val), cp.dest, cp.start)
-	}
-	for _, lp := range p.loads {
-		st.view(lp.val).mem.loads[lp.cluster] = lp.cycle
-	}
-	for _, up := range p.uses {
-		tmp := st.view(up.val)
-		if cur := tmp.minUse[up.cluster]; cur == noUse || up.use < cur {
-			tmp.minUse[up.cluster] = up.use
-		}
-		if cur := tmp.maxUse[up.cluster]; cur == noUse || up.use > cur {
-			tmp.maxUse[up.cluster] = up.use
-		}
-	}
-
-	// Per-cluster simulation: the committed spans of every touched value
-	// are swapped for its hypothetical ones. Most plans fail this check,
-	// mostly in the cluster that failed the previous one, so that cluster
-	// is checked first, then the others in index order. Neither the
-	// verdict nor the addUnits of a passing plan depend on the order.
-	first := pr.lastFail
-	for i := 0; i < m.Clusters; i++ {
-		c := first
-		if i > 0 {
-			if c = i - 1; c >= first {
-				c++
-			}
-		}
-		var before, after int64
-		rem, add := pr.rem[:0], pr.add[:0]
-		for _, vw := range pr.views[:pr.nviews] {
-			if vw.val != nil {
-				n := len(rem)
-				rem = vw.val.appendSpans(rem, c, m)
-				for _, sp := range rem[n:] {
-					before += int64(sp.Len())
-				}
-			}
-			n := len(add)
-			add = vw.tmp.appendSpans(add, c, m)
-			for _, sp := range add[n:] {
-				after += int64(sp.Len())
-			}
-		}
-		pr.rem, pr.add = rem, add
-		if len(rem) == 0 && len(add) == 0 {
-			continue
-		}
-		if !st.press[c].FitsWith(rem, add, m.RegsIn(c), pr.sim) {
-			pr.lastFail = c
-			return false
-		}
-		if d := after - before; d > 0 {
-			pr.addUnits[c] += d
-		}
-	}
-	return true
 }
 
 // xferDepartOK reports whether a transfer of val may depart at cycle s: the

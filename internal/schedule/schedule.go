@@ -379,39 +379,34 @@ func (st *state) scanCluster(v, c int, static *ddg.Times) (*plan, FailReason) {
 
 // apply commits a plan to the state.
 func (st *state) apply(p *plan) {
+	if h := probeReference; h != nil {
+		h.apply(st, p)
+		return
+	}
 	g, m := st.g, st.m
 	node := g.Nodes[p.v]
+	def := p.t + m.OpLatency(node.Op)
 
-	// 1. Producer bookkeeping for v.
+	// 1. Register pressure: the change checkRegs checked.
+	for _, rc := range p.regs {
+		if rc.add {
+			st.press[rc.c].Add(rc.sp.Start, rc.sp.End)
+		} else {
+			st.press[rc.c].Remove(rc.sp.Start, rc.sp.End)
+		}
+	}
+
+	// 2. Producer bookkeeping for v.
 	st.rt.PlaceOp(p.cluster, node.Op.Unit(), p.t)
 	st.time[p.v] = p.t
 	st.cluster[p.v] = p.cluster
 	st.sched[p.v] = true
 	if node.Op.ProducesValue() {
-		st.initValue(p.v, p.cluster, p.t+m.OpLatency(node.Op))
+		st.initValue(p.v, p.cluster, def)
 	}
 
-	// 2. Batch span-safe mutations per touched producer other than v (v's
-	// new value has no spans registered yet).
-	touched := st.touched[:0]
-	for _, mv := range p.moves {
-		touched = appendUnique(touched, mv.val, p.v)
-	}
-	for _, cp := range p.comms {
-		touched = appendUnique(touched, cp.val, p.v)
-	}
-	for _, lp := range p.loads {
-		touched = appendUnique(touched, lp.val, p.v)
-	}
-	for _, up := range p.uses {
-		touched = appendUnique(touched, up.val, p.v)
-	}
-	st.touched = touched
-	for _, id := range touched {
-		st.removeValueSpans(st.vals[id])
-	}
-	// Mutate. Transfer channels are keyed by the value's home cluster and
-	// the planned destination (ignored on the shared bus).
+	// 3. Routing and uses. Transfer channels are keyed by the value's home
+	// cluster and the planned destination (ignored on the shared bus).
 	for _, mv := range p.moves {
 		val := st.vals[mv.val]
 		st.rt.RemoveXfer(val.home, mv.dest, mv.old)
@@ -447,13 +442,6 @@ func (st *state) apply(p *plan) {
 		if cur := val.maxUse[up.cluster]; cur == noUse || up.use > cur {
 			val.maxUse[up.cluster] = up.use
 		}
-	}
-	// Re-add spans.
-	for _, id := range touched {
-		st.addValueSpans(st.vals[id])
-	}
-	if val := st.vals[p.v]; val != nil {
-		st.addValueSpans(val)
 	}
 }
 

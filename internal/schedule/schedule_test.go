@@ -247,9 +247,7 @@ func TestOrderNeighborProperty(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		g := randomLoop(r, 3+r.Intn(25))
 		order := Order(g, m, g.MII(m))
-		var o orderState
-		o.buildGroups(g)
-		groups := o.groupEnd
+		_, groups := g.SMSGroups()
 		pos := make([]int, g.N())
 		for i, v := range order {
 			pos[v] = i

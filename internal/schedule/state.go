@@ -132,26 +132,6 @@ func (v *value) newSpill(store, load int) *spill {
 	return &v.spillBuf
 }
 
-// copyFrom makes v, already reset for the same cluster count, a deep copy
-// of src sharing no storage with it.
-func (v *value) copyFrom(src *value) {
-	v.home, v.def = src.home, src.def
-	copy(v.minUse, src.minUse)
-	copy(v.maxUse, src.maxUse)
-	v.comm, v.mem, v.spill = nil, nil, nil
-	if src.comm != nil {
-		v.comm = v.newComm(src.comm.dests != nil, src.comm.start)
-		copy(v.comm.dests, src.comm.dests)
-	}
-	if src.mem != nil {
-		v.mem = v.newMem(src.mem.store)
-		copy(v.mem.loads, src.mem.loads)
-	}
-	if src.spill != nil {
-		v.spill = v.newSpill(src.spill.store, src.spill.load)
-	}
-}
-
 // fillAbsent marks every entry of a per-cluster routing slice absent.
 func fillAbsent(s []int) []int {
 	for i := range s {
@@ -217,16 +197,7 @@ func (v *value) appendSpans(dst []regpress.Span, c int, m *machine.Config) []reg
 		if v.mem != nil && v.mem.store+1 > end {
 			end = v.mem.store + 1
 		}
-		if v.spill == nil {
-			return append(dst, regpress.Span{Start: v.def, End: end})
-		}
-		// Spilled: live [def, store+1) and [load+lat, end).
-		s1 := regpress.Span{Start: v.def, End: v.spill.store + 1}
-		s2 := regpress.Span{Start: v.spill.load + m.OpLatency(isa.Load), End: end}
-		if s2.End <= s2.Start {
-			return append(dst, s1)
-		}
-		return append(dst, s1, s2)
+		return appendHomeSpans(dst, v.def, end, v.spill, m)
 	}
 	// Remote cluster: live from arrival to last use there.
 	arr, ok := v.arrival(c, m)
@@ -238,6 +209,21 @@ func (v *value) appendSpans(dst []regpress.Span, c int, m *machine.Config) []reg
 		return dst
 	}
 	return append(dst, regpress.Span{Start: arr, End: end + 1})
+}
+
+// appendHomeSpans appends to dst the home-cluster spans of a value written
+// at def whose register must hold it until end: [def, end), or, when the
+// value is spilled, [def, store+1) and [load+lat, end).
+func appendHomeSpans(dst []regpress.Span, def, end int, sp *spill, m *machine.Config) []regpress.Span {
+	if sp == nil {
+		return append(dst, regpress.Span{Start: def, End: end})
+	}
+	s1 := regpress.Span{Start: def, End: sp.store + 1}
+	s2 := regpress.Span{Start: sp.load + m.OpLatency(isa.Load), End: end}
+	if s2.End <= s2.Start {
+		return append(dst, s1)
+	}
+	return append(dst, s1, s2)
 }
 
 // state is the mutable scheduling state for one II attempt.
@@ -273,7 +259,6 @@ type state struct {
 	// Short-lived lists, each owned by the one function named.
 	spans    []regpress.Span // addValueSpans, removeValueSpans
 	clusters []int           // placeNode: candidate clusters
-	touched  []int           // apply: producers whose spans change
 	victims  []int           // ejectVictims
 	consumed []int           // unschedule: producers v read
 	deadline []int           // tryBusToMem: per-cluster first use
@@ -367,7 +352,8 @@ func (st *state) removeValueSpans(v *value) {
 	}
 }
 
-// maxLive returns the current MaxLive of cluster c.
+// maxLive returns the current MaxLive of cluster c, as cached by its
+// pressure tracker.
 func (st *state) maxLive(c int) int { return st.press[c].MaxLive() }
 
 // regsOK reports whether every cluster currently fits its register file.
@@ -386,9 +372,19 @@ func (st *state) p2p() bool { return st.m.Topology == machine.PointToPoint }
 
 // freeXfer and friends report remaining capacity, used by the figure of
 // merit (fraction of *free* resources a candidate consumes).
-func (st *state) freeXfer() int { return st.rt.FreeXferSlots() }
+func (st *state) freeXfer() int {
+	if h := probeReference; h != nil {
+		return h.freeXfer(st)
+	}
+	return st.rt.FreeXferSlots()
+}
 
-func (st *state) freeMem(c int) int { return st.rt.FreeOpSlots(c, isa.MemUnit) }
+func (st *state) freeMem(c int) int {
+	if h := probeReference; h != nil {
+		return h.freeMem(st, c)
+	}
+	return st.rt.FreeOpSlots(c, isa.MemUnit)
+}
 
 func (st *state) freeLifetime(c int) int64 {
 	return st.press[c].Free(st.m.RegsIn(c))

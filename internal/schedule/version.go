@@ -55,4 +55,12 @@ package schedule
 //	      probes only the edges inside one; every weight equals the probe's
 //	      and every digest is byte-identical to gp/8, bumped per the rule
 //	      above
-const AlgoVersion = "gp/9"
+//	gp/10 the placement probe's register check and its commit cover only the
+//	      (value, cluster) pairs a plan changes, settle most clusters by the
+//	      cached MaxLive plus Σ⌈len/II⌉ over the added spans, and walk only
+//	      the slots the added spans cover otherwise; the reservation table
+//	      keeps running free-slot totals, the figure of merit is sorted
+//	      without a closure, and the SMS groups are cached per loop on the
+//	      graph; every digest byte-identical to gp/9, bumped per the rule
+//	      above
+const AlgoVersion = "gp/10"
