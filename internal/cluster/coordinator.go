@@ -24,7 +24,7 @@
 //	POST /v1/fleet/nodes/{id}/drain      stop placing on a node
 //	POST /v1/fleet/nodes/{id}/undrain    place on it again
 //	POST /v1/schedule                    proxied single-loop scheduling (cache-affine)
-//	POST /v1/schedule/batch              per-loop fan-out of a batch, reassembled in order
+//	POST /v1/schedule/batch              one sub-batch per worker, reassembled in order
 //	POST /v1/cache/flush                 raise the fleet cache epoch, fan the flush out
 //	POST /v1/jobs                        async sweep job; returns {id, cells}
 //	GET  /v1/jobs                        all retained jobs' status summaries
@@ -515,11 +515,16 @@ func (c *Coordinator) finishProxy(w http.ResponseWriter, tr *obs.Trace, endpoint
 
 // outcomeOf classifies how placement resolved a served request, the
 // low-cardinality outcome label of the duration histogram.
-func outcomeOf(fr fleetResult) string {
+func outcomeOf(fr fleetResult) string { return placementOutcome(fr.failedOver, fr.spilled) }
+
+// placementOutcome is the outcome label of a request or batch loop that a
+// worker answered: failover when some worker failed it first, spill when
+// bounded load moved it off its owner, owner otherwise.
+func placementOutcome(failedOver, spilled bool) string {
 	switch {
-	case fr.failedOver:
+	case failedOver:
 		return "failover"
-	case fr.spilled:
+	case spilled:
 		return "spill"
 	}
 	return "owner"
@@ -606,8 +611,8 @@ type fleetResult struct {
 // scheduleOnFleet places one singleton schedule body and forwards it:
 // bounded-load rendezvous placement on the content-address key, then — when
 // the chosen worker fails — the next round places down the HRW ranking with
-// the failed node excluded. Both the singleton proxy and the batch fan-out
-// ride on it. The request is transient, so it stays outside the placement
+// the failed node excluded. The batch fan-out (batch.go) walks each loop
+// the same way. The request is transient, so it stays outside the placement
 // protocol: each attempt holds one in-flight slot on its node (bind) for
 // exactly the length of its forward. Every attempt is recorded on tr
 // (nil-safe) and forwarded under reqID, and every failure emits one
@@ -643,22 +648,15 @@ func (c *Coordinator) scheduleOnFleet(ctx context.Context, key string, reqBody [
 		case err != nil, resp.StatusCode >= 500:
 			// Transport failure, truncated body or 5xx: the worker is gone
 			// or going — suspect it and fail over down the HRW ranking.
-			note, reason := "transport-error", ""
-			if err != nil {
-				reason = err.Error()
-				lastErr = fmt.Errorf("worker %s: %v", node.id, err)
-			} else {
-				note = fmt.Sprintf("http-%d", resp.StatusCode)
-				reason = fmt.Sprintf("HTTP %d: %s", resp.StatusCode, firstLine(body))
-				lastErr = fmt.Errorf("worker %s answered %d: %s", node.id, resp.StatusCode, firstLine(body))
-			}
+			var note string
+			note, lastErr = workerFailure(node.id, resp, body, err)
 			c.reg.reportFailure(node.id)
 			c.metrics.failovers.Add(1)
 			exclude[node.id] = true
 			failedOver, allSaturated = true, false
 			tr.PhaseNote("proxy", "node="+node.id+" "+note, time.Since(proxyStart))
 			c.log.Warn("worker attempt failed, failing over",
-				"request", reqID, "node", node.id, "attempt", attempt, "reason", reason)
+				"request", reqID, "node", node.id, "attempt", attempt, "reason", lastErr.Error())
 		case resp.StatusCode == http.StatusTooManyRequests:
 			// Saturation is load, not sickness: try another worker without
 			// marking this one suspect.
@@ -683,116 +681,35 @@ func (c *Coordinator) scheduleOnFleet(ctx context.Context, key string, reqBody [
 	}
 }
 
+// workerFailure describes a forward the worker failed — a transport error
+// (err) or a 5xx answer — as a trace note and as the error a request that
+// runs out of workers reports last.
+func workerFailure(nodeID string, resp *http.Response, body []byte, err error) (note string, lastErr error) {
+	if err != nil {
+		return "transport-error", fmt.Errorf("worker %s: %v", nodeID, err)
+	}
+	return "http-" + strconv.Itoa(resp.StatusCode), fmt.Errorf("worker %s answered %d: %s", nodeID, resp.StatusCode, firstLine(body))
+}
+
 // bind commits one placement decision, for a proxied request and a sweep
-// cell alike: it counts the placement, the node's routed request and one
-// in-flight slot on the node — the load signal place spills on, which the
-// caller releases (reg.decInflight) once its forward returns — and
-// attributes a spill (rank > 0) to the fleet total, the owner that shed the
-// key, the node that absorbed it and the key's class.
+// cell alike: it counts the placement and takes one in-flight slot on the
+// node — the load signal place spills on, which the caller releases
+// (reg.decInflight) once its forward returns.
 func (c *Coordinator) bind(node candidate, owner string, rank int, key string) {
+	c.countPlacement(node, owner, rank, key)
+	c.reg.incInflight(node.id)
+}
+
+// countPlacement counts one placement decision: the placement, the node's
+// routed request, and a spill (rank > 0) against the fleet total, the owner
+// that shed the key, the node that absorbed it and the key's class.
+func (c *Coordinator) countPlacement(node candidate, owner string, rank int, key string) {
 	c.metrics.placements.Add(1)
 	c.reg.countPlacement(node.id, owner, rank > 0)
 	if rank > 0 {
 		c.metrics.spills.Add(1)
 		c.metrics.spillClasses.Add(keyClass(key))
 	}
-}
-
-// handleScheduleBatch fans a /v1/schedule/batch envelope out across the
-// fleet loop by loop: every loop is forwarded as its equivalent singleton
-// request to the worker that rendezvous placement would pick for that
-// singleton — so batch loops hit exactly the cache shards singleton traffic
-// warms — and the responses are reassembled under the server package's
-// batch framing, byte-identical to a single worker's batch of the same
-// envelope (asserted by the cluster smoke test, including under worker
-// kill: a dead worker's loops fail over and the bytes do not change).
-// Per-loop failures render as error elements in place; loops that cannot be
-// forwarded at all (no workers, fleet saturated) do too, keeping partial
-// results useful. A client that hangs up stops the fan-out. Shadow replay
-// stays a singleton-path concern.
-func (c *Coordinator) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
-	c.metrics.batchReqs.Add(1)
-	start := time.Now()
-	tr := obs.AcquireTrace(r.Header.Get(obs.RequestIDHeader), "proxy-batch")
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)); err != nil {
-		c.finishProxy(w, tr, "batch", "bad-request", start)
-		c.writeError(w, http.StatusBadRequest, server.ErrCodeBadRequest, "read body: %v", err)
-		return
-	}
-	items, err := server.BatchItems(buf.Bytes())
-	if err != nil {
-		c.finishProxy(w, tr, "batch", "bad-request", start)
-		c.writeError(w, http.StatusBadRequest, server.ErrCodeBadRequest, "%v", err)
-		return
-	}
-	c.metrics.batchLoops.Add(int64(len(items)))
-	tr.PhaseNote("admission", fmt.Sprintf("loops=%d", len(items)), time.Since(start))
-
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/json")
-	// The envelope streams, so X-Phase-Timing goes out before any loop runs
-	// and carries admission only; per-loop place/proxy phases land in the
-	// published trace, each loop forwarded under the deterministic suffixed
-	// request ID (envelope#i) so a client can pull the full fan-out from
-	// /v1/debug/traces by prefix.
-	if st := tr.ServerTiming(); st != "" {
-		w.Header().Set("X-Phase-Timing", st)
-	}
-	_, _ = io.WriteString(w, server.BatchOpen)
-	outcome := "ok"
-	for i := range items {
-		if r.Context().Err() != nil {
-			outcome = "canceled"
-			break
-		}
-		if i > 0 {
-			_, _ = io.WriteString(w, server.BatchSep)
-		}
-		_, _ = w.Write(c.batchElement(r.Context(), &items[i], obs.SuffixID(tr.ID, i), tr))
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	_, _ = io.WriteString(w, server.BatchClose)
-	tr.SetOutcome(outcome)
-	c.traces.Publish(tr)
-}
-
-// batchElement resolves one batch loop to its element bytes: a loop with a
-// local admission error renders it without burning a worker; otherwise the
-// forwarded singleton response body (success or per-loop 4xx alike) is the
-// element, trailing newline trimmed to fit the framing. Each forwarded loop
-// is observed as one endpoint="batch" histogram sample under its own
-// placement outcome (the envelope itself is not observed again).
-func (c *Coordinator) batchElement(ctx context.Context, it *server.BatchItem, loopID string, tr *obs.Trace) []byte {
-	if it.Err != nil {
-		return server.ErrorElement(server.ErrCodeBadRequest, it.Err.Error())
-	}
-	start := time.Now()
-	fr := c.scheduleOnFleet(ctx, it.Key, it.Body, loopID, tr)
-	var outcome string
-	var elem []byte
-	switch {
-	case fr.resp != nil:
-		outcome = outcomeOf(fr)
-		elem = bytes.TrimSuffix(fr.body, []byte("\n"))
-	case fr.canceled:
-		outcome = "canceled" // nobody reads the element; the fan-out stops
-	case fr.noWorkers:
-		c.metrics.noCapacity.Add(1)
-		outcome = "no-workers"
-		elem = server.ErrorElement(server.ErrCodeNoWorkers, "no ready workers")
-	case fr.allSaturated:
-		c.metrics.noCapacity.Add(1)
-		outcome = "saturated"
-		elem = server.ErrorElement(server.ErrCodeSaturated, "every worker is saturated, retry later")
-	default:
-		outcome = "error"
-		elem = server.ErrorElement(server.ErrCodeUpstreamFailed, fmt.Sprintf("all workers failed, last: %v", fr.lastErr))
-	}
-	c.metrics.observe("batch", outcome, time.Since(start))
-	return elem
 }
 
 // relayServed copies the response headers of the attempt actually being
@@ -909,11 +826,16 @@ func (c *Coordinator) forward(ctx context.Context, node candidate, path string, 
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
+	// Read to EOF, which returns the connection to the idle pool, into a
+	// buffer sized by Content-Length when the worker sent one.
+	var out bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= server.MaxBodyBytes {
+		out.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := out.ReadFrom(resp.Body); err != nil {
 		return nil, nil, err
 	}
-	return resp, out, nil
+	return resp, out.Bytes(), nil
 }
 
 // firstLine trims an error body for log/relay contexts.

@@ -36,7 +36,7 @@ func testConfig() Config {
 	}
 }
 
-func startCoordinator(t *testing.T, cfg Config) (*Coordinator, string) {
+func startCoordinator(t testing.TB, cfg Config) (*Coordinator, string) {
 	t.Helper()
 	coord, err := New(cfg)
 	if err != nil {
@@ -55,23 +55,31 @@ func startCoordinator(t *testing.T, cfg Config) (*Coordinator, string) {
 	return coord, "http://" + ln.Addr().String()
 }
 
-// chaosHandler wraps a worker's handler with fault injection.
+// chaosHandler wraps a worker's handler with fault injection, and counts
+// the requests it serves by path.
 type chaosHandler struct {
 	inner http.Handler
 
 	mu            sync.Mutex
-	killSchedules int           // hijack+close the next N /v1/schedule conns
+	requests      map[string]int
+	killSchedules int           // hijack+close the next N /v1/schedule and /v1/schedule/batch conns
 	stallSweeps   chan struct{} // when non-nil, /v1/sweep blocks on it
+	failLoop      string        // when set, batch elements for this loop name become internal errors
 }
 
 func (h *chaosHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
+	if h.requests == nil {
+		h.requests = map[string]int{}
+	}
+	h.requests[r.URL.Path]++
 	kill := false
-	if r.URL.Path == "/v1/schedule" && h.killSchedules > 0 {
+	if (r.URL.Path == "/v1/schedule" || r.URL.Path == "/v1/schedule/batch") && h.killSchedules > 0 {
 		h.killSchedules--
 		kill = true
 	}
 	stall := h.stallSweeps
+	failLoop := h.failLoop
 	h.mu.Unlock()
 	if kill {
 		// Accept the request, then slam the TCP connection: the worker
@@ -90,7 +98,48 @@ func (h *chaosHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	if failLoop != "" && r.URL.Path == "/v1/schedule/batch" {
+		h.serveFailingLoop(w, r, failLoop)
+		return
+	}
 	h.inner.ServeHTTP(w, r)
+}
+
+// serveFailingLoop serves a batch whose elements for the loop named name
+// are the internal error a failed schedule computation renders.
+func (h *chaosHandler) serveFailingLoop(w http.ResponseWriter, r *http.Request, name string) {
+	body, _ := io.ReadAll(r.Body)
+	items, err := server.BatchItems(body)
+	if err != nil {
+		panic(err)
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	h.inner.ServeHTTP(rec, r)
+	elems, err := server.SplitBatch(rec.Body.Bytes(), len(items))
+	if err != nil {
+		panic(err)
+	}
+	for i, e := range elems {
+		if bytes.Contains(e, []byte(`"loop": "`+name+`"`)) {
+			elems[i] = server.ErrorElement(server.ErrCodeInternal, "schedule: injected failure")
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = io.WriteString(w, server.BatchOpen+string(bytes.Join(elems, []byte(server.BatchSep)))+server.BatchClose)
+}
+
+// served returns how many requests for path the worker has seen.
+func (h *chaosHandler) served(path string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.requests[path]
+}
+
+func (h *chaosHandler) setFailLoop(name string) {
+	h.mu.Lock()
+	h.failLoop = name
+	h.mu.Unlock()
 }
 
 func (h *chaosHandler) armKillSchedule(n int) {
@@ -108,7 +157,7 @@ func (h *chaosHandler) armStallSweeps() chan struct{} {
 }
 
 type testWorker struct {
-	t        *testing.T
+	t        testing.TB
 	id       string
 	endpoint string
 	base     string // coordinator base URL
@@ -120,7 +169,7 @@ type testWorker struct {
 	hbDone chan struct{}
 }
 
-func startWorker(t *testing.T, coordBase, id string) *testWorker {
+func startWorker(t testing.TB, coordBase, id string) *testWorker {
 	t.Helper()
 	srv := server.New(server.Config{NodeID: id})
 	chaos := &chaosHandler{inner: srv.Handler()}
@@ -235,7 +284,7 @@ func postSchedule(t *testing.T, base string, body []byte) (*http.Response, []byt
 	return resp, out
 }
 
-func waitForStates(t *testing.T, coord *Coordinator, want map[string]string) {
+func waitForStates(t testing.TB, coord *Coordinator, want map[string]string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -18,12 +18,15 @@ type metrics struct {
 	scheduleReqs atomic.Int64
 	batchReqs    atomic.Int64 // /v1/schedule/batch requests
 	batchLoops   atomic.Int64 // loops fanned out from batch requests
-	placements   atomic.Int64 // successful placement decisions
-	spills       atomic.Int64 // placements bounded-load moved off the HRW owner
-	retries      atomic.Int64 // re-placements after a worker 429/503
-	failovers    atomic.Int64 // re-placements after a worker failure
-	noCapacity   atomic.Int64 // requests shed because no node was placeable
-	badRequests  atomic.Int64
+	// batchForwards counts sub-batches forwarded to workers, failover
+	// rounds included: over batchReqs, the worker round trips per batch.
+	batchForwards atomic.Int64
+	placements    atomic.Int64 // successful placement decisions
+	spills        atomic.Int64 // placements bounded-load moved off the HRW owner
+	retries       atomic.Int64 // re-placements after a worker 429/503
+	failovers     atomic.Int64 // re-placements after a worker failure
+	noCapacity    atomic.Int64 // requests shed because no node was placeable
+	badRequests   atomic.Int64
 
 	// placeTransitions counts every placement-protocol edge taken,
 	// [from][to]-indexed; placeInvalid counts refused illegal edges.
@@ -122,6 +125,7 @@ func (m *metrics) render(w io.Writer, nodes []NodeInfo, jobsRunning int, epoch u
 	fmt.Fprintf(w, "gpcoordd_schedule_requests_total %d\n", m.scheduleReqs.Load())
 	fmt.Fprintf(w, "gpcoordd_batch_requests_total %d\n", m.batchReqs.Load())
 	fmt.Fprintf(w, "gpcoordd_batch_loops_total %d\n", m.batchLoops.Load())
+	fmt.Fprintf(w, "gpcoordd_batch_forwards_total %d\n", m.batchForwards.Load())
 	fmt.Fprintf(w, "gpcoordd_placements_total %d\n", m.placements.Load())
 	// The unlabeled total renders first — existing scrapers (and the smoke
 	// script's sed) parse it positionally — then the bounded top-K key-class

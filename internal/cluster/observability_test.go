@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -192,19 +195,43 @@ func TestRequestIDSurvivesFailover(t *testing.T) {
 	}
 }
 
-// TestBatchLoopRequestIDSuffixes pins the fan-out identity scheme: batch
-// loop i forwards under <envelope-id>#i, deterministically, so every
-// worker-side trace of a batch is retrievable from the envelope ID alone.
+// TestBatchLoopRequestIDSuffixes pins the fan-out identity scheme: each
+// sub-batch forwards under <envelope-id>#<index of its first loop>,
+// deterministically, so every worker-side trace of a batch is retrievable
+// from the envelope ID alone, and cutting an ID at '#' (how perfledger
+// stitches worker spans to the envelope) gives the envelope ID back. The
+// coordinator's trace keeps one place note per loop and one proxy note per
+// sub-batch naming its node and loops.
 func TestBatchLoopRequestIDSuffixes(t *testing.T) {
 	coord, base := startCoordinator(t, testConfig())
-	workers := []*testWorker{
-		startWorker(t, base, "wA"),
-		startWorker(t, base, "wB"),
+	workers := map[string]*testWorker{
+		"wA": startWorker(t, base, "wA"),
+		"wB": startWorker(t, base, "wB"),
 	}
 	waitForStates(t, coord, map[string]string{"wA": "ready", "wB": "ready"})
 
 	const id = "feedface00000000"
-	body := batchBody(t, []string{"obsa", "obsb", "obsc"}, false)
+	names := []string{"obsa", "obsb", "obsc", "obsd", "obse", "obsf"}
+	body := batchBody(t, names, false)
+	// The sub-batches an idle fleet forms: the loops grouped by HRW owner,
+	// each group named by its first loop.
+	items, err := server.BatchItems(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := map[int]string{} // first loop -> node
+	loopsOf := map[string][]string{}
+	for i, it := range items {
+		owner, _, _, _ := place(coord.reg.candidates(), it.Key, nil, 0)
+		if len(loopsOf[owner.id]) == 0 {
+			groups[i] = owner.id
+		}
+		loopsOf[owner.id] = append(loopsOf[owner.id], strconv.Itoa(i))
+	}
+	if len(groups) != 2 {
+		t.Fatalf("the batch's loops all have one owner (%v); the test needs both workers", loopsOf)
+	}
+
 	req, err := http.NewRequest(http.MethodPost, base+"/v1/schedule/batch", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -232,24 +259,53 @@ func TestBatchLoopRequestIDSuffixes(t *testing.T) {
 	if ctr.Op != "proxy-batch" {
 		t.Fatalf("coordinator batch trace op = %q", ctr.Op)
 	}
-	// ...and every loop's worker-side trace under the #i suffix, on exactly
-	// one worker each.
-	for i := 0; i < 3; i++ {
-		loopID := obs.SuffixID(id, i)
-		if want := fmt.Sprintf("%s#%d", id, i); loopID != want {
-			t.Fatalf("SuffixID(%q, %d) = %q, want %q", id, i, loopID, want)
+	var places int
+	var proxies []string
+	for _, p := range ctr.Phases() {
+		switch p.Name {
+		case "place":
+			places++
+		case "proxy":
+			proxies = append(proxies, p.Note)
 		}
-		found := 0
-		for _, w := range workers {
-			if wtr, ok := fetchTrace(t, w.endpoint, loopID); ok {
-				found++
-				if wtr.Op != "schedule" {
-					t.Fatalf("loop %d trace op = %q", i, wtr.Op)
-				}
+	}
+	if places != len(names) {
+		t.Errorf("coordinator trace has %d place notes, want one per loop (%d)", places, len(names))
+	}
+	var wantProxies []string
+	for _, first := range slices.Sorted(maps.Keys(groups)) {
+		n := groups[first]
+		wantProxies = append(wantProxies, fmt.Sprintf("node=%s loops=%s http-200", n, strings.Join(loopsOf[n], ",")))
+	}
+	if strings.Join(proxies, "|") != strings.Join(wantProxies, "|") {
+		t.Errorf("proxy notes %q, want %q", proxies, wantProxies)
+	}
+
+	// ...and each sub-batch's worker-side trace under #<first loop>, on
+	// its node alone, parsing that sub-batch's loops.
+	for first, node := range groups {
+		subID := obs.SuffixID(id, first)
+		if want := fmt.Sprintf("%s#%d", id, first); subID != want {
+			t.Fatalf("SuffixID(%q, %d) = %q, want %q", id, first, subID, want)
+		}
+		if env, _, _ := strings.Cut(subID, "#"); env != id {
+			t.Fatalf("sub-batch ID %q does not cut back to the envelope ID", subID)
+		}
+		for wid, w := range workers {
+			wtr, ok := fetchTrace(t, w.endpoint, subID)
+			if ok != (wid == node) {
+				t.Fatalf("sub-batch trace %s on %s: found=%t, want it on %s alone", subID, wid, ok, node)
 			}
-		}
-		if found != 1 {
-			t.Fatalf("loop trace %s found on %d workers, want exactly 1", loopID, found)
+			if !ok {
+				continue
+			}
+			if wtr.Op != "batch" {
+				t.Fatalf("sub-batch %s trace op = %q", subID, wtr.Op)
+			}
+			want := fmt.Sprintf("loops=%d", len(loopsOf[node]))
+			if !slices.ContainsFunc(wtr.Phases(), func(p obs.Phase) bool { return p.Name == "parse" && p.Note == want }) {
+				t.Fatalf("sub-batch %s trace has no parse note %q: %+v", subID, want, wtr.Phases())
+			}
 		}
 	}
 }
@@ -257,7 +313,8 @@ func TestBatchLoopRequestIDSuffixes(t *testing.T) {
 // TestCoordinatorMetricsLint scrapes a traffic-warmed coordinator and holds
 // /metrics to the fleet naming contract: every family is a counter
 // (*_total), an allowlisted gauge, or a complete histogram triple — and the
-// duration histogram actually renders with its endpoint/outcome labels.
+// duration histogram actually renders with its endpoint/outcome labels, and
+// the batch counters with the batch that warmed them.
 func TestCoordinatorMetricsLint(t *testing.T) {
 	coord, base := startCoordinator(t, testConfig())
 	startWorker(t, base, "wA")
@@ -269,6 +326,12 @@ func TestCoordinatorMetricsLint(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("schedule %d: %d %s", i, resp.StatusCode, out)
 		}
+	}
+	if resp, out := postBatch(t, base, batchBody(t, []string{"lintb0", "lintb1"}, false)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, out)
+	}
+	if n := coord.metrics.batchForwards.Load(); n < 1 || n > 2 {
+		t.Fatalf("a 2-loop batch on 2 idle workers made %d forwards, want 1 or 2", n)
 	}
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -285,6 +348,10 @@ func TestCoordinatorMetricsLint(t *testing.T) {
 		`gpcoordd_request_duration_seconds_bucket{endpoint="schedule",outcome="owner",le="+Inf"}`,
 		`gpcoordd_request_duration_seconds_sum{endpoint="schedule",outcome="owner"}`,
 		`gpcoordd_request_duration_seconds_count{endpoint="schedule",outcome="owner"}`,
+		`gpcoordd_request_duration_seconds_count{endpoint="batch",outcome="owner"} 2`,
+		"gpcoordd_batch_requests_total 1\n",
+		"gpcoordd_batch_loops_total 2\n",
+		fmt.Sprintf("gpcoordd_batch_forwards_total %d\n", coord.metrics.batchForwards.Load()),
 		"gpcoordd_latency_p50_seconds",
 		"gpcoordd_latency_p99_seconds",
 	} {
@@ -327,8 +394,8 @@ func TestSpillAttribution(t *testing.T) {
 	if !ok {
 		t.Fatal("no owner")
 	}
-	coord.reg.countPlacement(owner.id, owner.id, false)
-	coord.reg.countPlacement(owner.id, owner.id, false)
+	coord.reg.incInflight(owner.id)
+	coord.reg.incInflight(owner.id)
 	defer coord.reg.decInflight(owner.id)
 	defer coord.reg.decInflight(owner.id)
 

@@ -345,7 +345,7 @@ func TestScheduleSpillFailoverByteIdentical(t *testing.T) {
 	// Overload the owner: 8 phantom in-flight requests push it past
 	// ceil(1.25·9/3)=4, so the same key must spill to the next HRW rank.
 	for i := 0; i < 8; i++ {
-		coord.reg.countPlacement(owner.id, owner.id, false)
+		coord.reg.incInflight(owner.id)
 	}
 	resp2, out2 := postSchedule(t, base, body)
 	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Node") != second.id {

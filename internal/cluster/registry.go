@@ -73,10 +73,10 @@ type node struct {
 	// health — only the worker's own reports can prove it).
 	epoch uint64
 
-	requests atomic.Int64 // proxied requests + job cells routed here
+	requests atomic.Int64 // proxied requests, batch loops and job cells routed here
 	failures atomic.Int64 // transport errors and 5xx answers observed
 	// inflight is the coordinator's own count of work outstanding on this
-	// node (proxied schedule requests, batch loops, sweep cells). It is the
+	// node (proxied schedule requests, batch sub-batches, sweep cells). It is the
 	// load signal bounded-load placement spills on: locally maintained, so
 	// it moves request-by-request instead of once per heartbeat.
 	inflight atomic.Int64
@@ -283,15 +283,19 @@ func (r *registry) absorbLoad(id string, inflight, shed int64, p99Micros float64
 	n.repP99.Store(math.Float64bits(p99Micros))
 }
 
-// decInflight releases the in-flight slot countPlacement took, once the
-// node has answered or failed: the coordinator-side outstanding-work count
-// bounded-load placement spills on.
-func (r *registry) decInflight(id string) {
+// incInflight takes one in-flight slot on a node for the length of a
+// forward, and decInflight releases it once the node has answered or
+// failed: the coordinator-side outstanding-work count bounded-load
+// placement spills on.
+func (r *registry) incInflight(id string) { r.addInflight(id, 1) }
+func (r *registry) decInflight(id string) { r.addInflight(id, -1) }
+
+func (r *registry) addInflight(id string, d int64) {
 	r.mu.Lock()
 	n, ok := r.nodes[id]
 	r.mu.Unlock()
 	if ok {
-		n.inflight.Add(-1)
+		n.inflight.Add(d)
 	}
 }
 
@@ -503,10 +507,10 @@ func (r *registry) setNodeEpoch(id string, epoch uint64) {
 	}
 }
 
-// countPlacement accounts one placement on node id: its routed request,
-// one in-flight slot (released by decInflight) and — for a bounded-load
-// spill — the spill-in it absorbed and the spill-out of the key's HRW
-// owner. One lock for the lookups; the counters themselves are atomic.
+// countPlacement accounts one placement on node id: its routed request
+// and — for a bounded-load spill — the spill-in it absorbed and the
+// spill-out of the key's HRW owner. One lock for the lookups; the counters
+// themselves are atomic.
 func (r *registry) countPlacement(id, ownerID string, spilled bool) {
 	r.mu.Lock()
 	n := r.nodes[id]
@@ -514,7 +518,6 @@ func (r *registry) countPlacement(id, ownerID string, spilled bool) {
 	r.mu.Unlock()
 	if n != nil {
 		n.requests.Add(1)
-		n.inflight.Add(1)
 		if spilled {
 			n.spillIn.Add(1)
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,8 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -208,6 +211,184 @@ func TestBatchEnvelopeFastPath(t *testing.T) {
 			t.Fatalf("dirty post %d: status %d X-Cache %q (error envelopes must not be cached)",
 				i, resp.StatusCode, resp.Header.Get("X-Cache"))
 		}
+	}
+}
+
+// TestBatchStopsWhenCallerIsGone pins the worker's batch cancellation: a
+// batch whose caller hangs up after the first element computes at most the
+// loop already under way, and the cut-short envelope is not cached, so a
+// verbatim repeat is computed again instead of being answered from the
+// body-hash fast path.
+func TestBatchStopsWhenCallerIsGone(t *testing.T) {
+	srv := New(Config{})
+	reqCtx := make(chan context.Context, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/schedule/batch" {
+			select {
+			case reqCtx <- r.Context():
+			default:
+			}
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	// The second loop's computation waits until the caller is gone and
+	// the server has seen it go. The cleanup, which runs before the
+	// server's, releases it if the test fails first.
+	var computes atomic.Int32
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	srv.computeHook = func(string) {
+		if computes.Add(1) == 2 {
+			<-release
+		}
+	}
+
+	var loops []string
+	for _, name := range []string{"gone-a", "gone-b", "gone-c", "gone-d"} {
+		loops = append(loops, `{"loop_text":`+string(mustJSON(t, batchLoopText(name)))+`}`)
+	}
+	body := []byte(`{"clusters":2,"regs":32,"loops":[` + strings.Join(loops, ",") + `]}`)
+	const id = "0ddba11000000001"
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/schedule/batch", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Read the first element, which ends in a line holding only '}'.
+	var got []byte
+	for b := make([]byte, 1); !bytes.HasSuffix(got, []byte("\n}")); got = append(got, b[0]) {
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			t.Fatalf("reading the first element: %v after %q", err, got)
+		}
+	}
+	cancel()
+	resp.Body.Close()
+	select {
+	case <-(<-reqCtx).Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server never saw the caller go")
+	}
+	unblock()
+
+	// The handler publishes its trace last.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		r, err := http.Get(ts.URL + "/v1/debug/traces/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr struct{ Outcome string }
+		err = json.NewDecoder(r.Body).Decode(&tr)
+		r.Body.Close()
+		if r.StatusCode == http.StatusOK {
+			if err != nil || tr.Outcome != "canceled" {
+				t.Fatalf("batch trace outcome %q (%v), want canceled", tr.Outcome, err)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned batch never finished")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := computes.Load(); n > 2 {
+		t.Fatalf("%d loops computed after the caller left during the second, want at most 2", n)
+	}
+	resp2, _ := postBatch(t, ts, body)
+	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Cache") != "miss" || srv.metrics.bodyHits.Load() != 0 {
+		t.Fatalf("repeat of the abandoned batch: status %d X-Cache %q, %d body hits, want a miss: the cut-short envelope must not be cached",
+			resp2.StatusCode, resp2.Header.Get("X-Cache"), srv.metrics.bodyHits.Load())
+	}
+}
+
+// TestBatchAllCachedTakesNoSlot pins the all-cached batch path: a new
+// envelope whose loops singletons already computed is answered as a hit
+// while the only pool slot and queue place are taken, byte for byte the
+// singletons' reassembly, and its reply is then cached for the verbatim
+// fast path.
+func TestBatchAllCachedTakesNoSlot(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 1})
+	var block atomic.Bool
+	entered, gate := make(chan struct{}, 2), make(chan struct{})
+	srv.computeHook = func(string) {
+		if block.Load() {
+			entered <- struct{}{}
+			<-gate
+		}
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	var gateOnce sync.Once
+	open := func() { gateOnce.Do(func() { close(gate) }) }
+	t.Cleanup(open) // runs before the server's cleanup if the test fails first
+	singleton := func(name string) []byte {
+		return scheduleBody(t, func(r *ScheduleRequest) { r.LoopText = batchLoopText(name) })
+	}
+
+	var want bytes.Buffer
+	var loops []string
+	want.WriteString(BatchOpen)
+	for i, name := range []string{"nc-a", "nc-b"} {
+		resp, out := postSchedule(t, ts, singleton(name))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("singleton %s: %d %s", name, resp.StatusCode, out)
+		}
+		if i > 0 {
+			want.WriteString(BatchSep)
+		}
+		want.Write(bytes.TrimSuffix(out, []byte("\n")))
+		loops = append(loops, `{"loop_text":`+string(mustJSON(t, batchLoopText(name)))+`}`)
+	}
+	want.WriteString(BatchClose)
+
+	// Take the worker and the queue place with two computing singletons.
+	block.Store(true)
+	done := make(chan struct{}, 2)
+	for _, name := range []string{"nc-busy", "nc-queued"} {
+		go func() {
+			resp, out := postSchedule(t, ts, singleton(name))
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("blocked singleton %s: %d %s", name, resp.StatusCode, out)
+			}
+			done <- struct{}{}
+		}()
+	}
+	<-entered
+	for deadline := time.Now().Add(10 * time.Second); srv.pool.QueueDepth() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second singleton never queued")
+		}
+	}
+
+	body := []byte(`{"clusters":2,"regs":32,"nbus":1,"latbus":1,"scheme":"GP","loops":[` + strings.Join(loops, ",") + `]}`)
+	resp, out := postBatch(t, ts, body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("all-cached batch on a full pool: status %d X-Cache %q, want 200 hit: %s", resp.StatusCode, resp.Header.Get("X-Cache"), out)
+	}
+	if !bytes.Equal(out, want.Bytes()) {
+		t.Fatalf("all-cached batch bytes differ from the singletons' reassembly:\n%s\nwant\n%s", out, want.Bytes())
+	}
+	open()
+	<-done
+	<-done
+
+	if resp, _ := postBatch(t, ts, body); resp.Header.Get("X-Cache") != "hit" || srv.metrics.bodyHits.Load() != 1 {
+		t.Fatalf("verbatim repeat: X-Cache %q with %d body hits, want a body-hash hit", resp.Header.Get("X-Cache"), srv.metrics.bodyHits.Load())
 	}
 }
 

@@ -118,11 +118,10 @@ func checkWorkBound(t *testing.T, job *scheduleJob) {
 }
 
 // FuzzBatchRequest fuzzes the /v1/schedule/batch envelope decoder: arbitrary
-// bytes must never panic, and any envelope it accepts must synthesize
-// per-loop singleton bodies that reparse to the same verdicts and keys at
-// the worker (which parses with a machine cache) and at the coordinator
-// (which parses without one) — the equivalence the distributed batch's
-// byte-identity rests on.
+// bytes must never panic, and any envelope it accepts must give every loop
+// the same verdict, error text and key at the worker (which parses with a
+// machine cache) and at the coordinator (which parses without one) — the
+// equivalence the distributed batch's byte-identity rests on.
 func FuzzBatchRequest(f *testing.F) {
 	f.Add([]byte(`{"clusters":2,"loops":[{"loop_text":"loop t 10\nnode 0 IntALU\n"}]}`))
 	f.Add([]byte(`{"machine":"machine m\ncluster 1 1 1 8\n","scheme":"Fixed","loops":[{"loop":{"name":"x","niter":5,"nodes":[{"op":"Load"}]}},{"loop_text":"loop broken"}]}`))
@@ -132,7 +131,7 @@ func FuzzBatchRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mc := newMachineCache()
-		items, err := parseBatch(data, mc)
+		_, items, err := parseBatch(data, mc)
 		if err != nil {
 			return
 		}
@@ -145,9 +144,6 @@ func FuzzBatchRequest(f *testing.F) {
 		}
 		salt := keySalt(schedule.AlgoVersion, 0)
 		for i := range items {
-			if !bytes.Equal(items[i].body, pub[i].Body) {
-				t.Fatalf("item %d synthesized bodies diverge", i)
-			}
 			if (items[i].err == nil) != (pub[i].Err == nil) {
 				t.Fatalf("item %d verdicts diverge: %v vs %v", i, items[i].err, pub[i].Err)
 			}
@@ -160,15 +156,6 @@ func FuzzBatchRequest(f *testing.F) {
 			}
 			if k := items[i].job.cacheKey(salt); k != pub[i].Key {
 				t.Fatalf("item %d keys diverge: %s vs %s", i, k, pub[i].Key)
-			}
-			// Round-trip: the synthesized singleton body must itself be
-			// admitted, with the same content address.
-			job2, err := parseScheduleRequest(items[i].body)
-			if err != nil {
-				t.Fatalf("item %d synthesized body rejected on reparse: %v", i, err)
-			}
-			if k2 := job2.cacheKey(salt); k2 != pub[i].Key {
-				t.Fatalf("item %d reparse key diverges: %s vs %s", i, k2, pub[i].Key)
 			}
 		}
 	})

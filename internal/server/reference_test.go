@@ -4,8 +4,8 @@ package server
 // replaced, kept verbatim as a reference: every loop re-decoded from its
 // synthesized singleton body with its own machine parse, and the key
 // streamed through fmt into the hash. The fuzz targets below require the
-// same keys, bodies, verdicts and error texts from ScheduleCacheKey and
-// BatchItems, and the same jobs and machine-cache outcomes from parseBatch.
+// same keys, verdicts and error texts from ScheduleCacheKey and BatchItems,
+// and the same jobs and machine-cache outcomes from parseBatch.
 
 import (
 	"bytes"
@@ -192,7 +192,6 @@ func refParseBatch(body []byte, mc *machineCache) ([]batchItem, error) {
 		if err != nil {
 			return nil, fmt.Errorf("loops[%d]: %v", i, err)
 		}
-		items[i].body = b
 		items[i].job, items[i].err = refParseScheduleRequest(b, mc)
 		if j := items[i].job; j != nil {
 			nodes += j.g.N()
@@ -216,7 +215,7 @@ func refBatchItems(body []byte) ([]BatchItem, error) {
 	}
 	out := make([]BatchItem, len(items))
 	for i := range items {
-		out[i] = BatchItem{Body: items[i].body, Err: items[i].err}
+		out[i] = BatchItem{Err: items[i].err}
 		if items[i].job != nil {
 			out[i].Key = refCacheKey(items[i].job, keySalt(schedule.AlgoVersion, 0))
 		}
@@ -310,9 +309,12 @@ func FuzzScheduleCacheKeyMatchesReference(f *testing.F) {
 }
 
 // FuzzBatchItemsMatchesReference runs BatchItems and the reference on one
-// envelope: the same envelope error text, or per loop the same synthesized
-// body, key and error text. The worker's parseBatch with a machine cache
-// also gives each loop the reference's job and machine-cache outcome.
+// envelope: the same envelope error text, or per loop the same key and
+// error text. The worker's parseBatch with a machine cache also gives each
+// loop the reference's job and machine-cache outcome. Then the two halves
+// of the coordinator's fan-out: every sub-batch AppendSubBatch encodes
+// admits its loops with the keys and errors they have in the whole
+// envelope, and SplitBatch returns exactly the elements a worker framed.
 func FuzzBatchItemsMatchesReference(f *testing.F) {
 	_, batch := edgeBodies(f)
 	f.Add(batch)
@@ -323,6 +325,8 @@ func FuzzBatchItemsMatchesReference(f *testing.F) {
 	// The first loop parses but fails admission (no FP unit): the second is
 	// still the machine cache's second lookup, a hit.
 	f.Add([]byte(`{"machine":"machine m\ncluster 1 0 1 8\n","loops":[{` + edgeSeedLoops[4] + `},{` + edgeSeedLoops[0] + `}]}`))
+	// Duplicate and case-folded keys, and escapes the encoder must redo.
+	f.Add([]byte(`{"clusters":2,"Scheme":"gp","loops":[{"loop_text":"x","LOOP_TEXT":"loop \"q\\\u0001\" 3\r\nnode 0 Load\n"},{"loop":{"name":"a<b>","niter":2,"nodes":[{"op":"Load"}]}}]}`))
 	for j, m := range edgeSeedMachines {
 		var loops []string
 		for i := j; i < j+4; i++ {
@@ -337,20 +341,129 @@ func FuzzBatchItemsMatchesReference(f *testing.F) {
 			t.Fatalf("BatchItems: %d items, %v\nreference:  %d items, %v", len(items), err, len(want), werr)
 		}
 		for i := range items {
-			if items[i].Key != want[i].Key || !bytes.Equal(items[i].Body, want[i].Body) || errText(items[i].Err) != errText(want[i].Err) {
-				t.Fatalf("loop %d: %q %s %v\nreference: %q %s %v", i,
-					items[i].Key, items[i].Body, items[i].Err, want[i].Key, want[i].Body, want[i].Err)
+			if items[i].Key != want[i].Key || errText(items[i].Err) != errText(want[i].Err) {
+				t.Fatalf("loop %d: %q %v\nreference: %q %v", i, items[i].Key, items[i].Err, want[i].Key, want[i].Err)
 			}
 		}
-		got, err := parseBatch(data, newMachineCache())
+		_, got, err := parseBatch(data, newMachineCache())
 		ref, werr := refParseBatch(data, newMachineCache())
 		if errText(err) != errText(werr) || len(got) != len(ref) {
 			t.Fatalf("parseBatch: %d items, %v\nreference:  %d items, %v", len(got), err, len(ref), werr)
 		}
 		for i := range got {
-			if !bytes.Equal(got[i].body, ref[i].body) || errText(got[i].err) != errText(ref[i].err) || !sameJob(got[i].job, ref[i].job) {
+			if errText(got[i].err) != errText(ref[i].err) || !sameJob(got[i].job, ref[i].job) {
 				t.Fatalf("loop %d: %+v, %v\nreference: %+v, %v", i, got[i].job, got[i].err, ref[i].job, ref[i].err)
 			}
 		}
+		if err != nil {
+			return
+		}
+		for _, idx := range subBatchIndices(len(items)) {
+			checkSubBatch(t, items, idx)
+		}
+		checkSplitRoundTrip(t, items, data)
 	})
+}
+
+// subBatchIndices returns the loop subsets the fuzz encodes as sub-batches
+// of an n-loop envelope: all of them, each alone, every other one from each
+// end, and all of them reversed.
+func subBatchIndices(n int) [][]int {
+	var out [][]int
+	all, rev := make([]int, n), make([]int, n)
+	for i := range all {
+		all[i], rev[i] = i, n-1-i
+		out = append(out, []int{i})
+	}
+	out = append(out, all, rev)
+	for start := 0; start < 2 && start < n; start++ {
+		var every []int
+		for i := start; i < n; i += 2 {
+			every = append(every, i)
+		}
+		out = append(out, every)
+	}
+	return out
+}
+
+// checkSubBatch encodes the loops idx of an admitted envelope as one
+// sub-batch and requires the coordinator's and the worker's parse of it to
+// give each loop the key and error text it has in the whole envelope.
+func checkSubBatch(t *testing.T, items []BatchItem, idx []int) {
+	t.Helper()
+	sub := AppendSubBatch(nil, items, idx)
+	if !json.Valid(sub) {
+		t.Fatalf("sub-batch %v is not JSON: %s", idx, sub)
+	}
+	subItems, err := BatchItems(sub)
+	if err != nil || len(subItems) != len(idx) {
+		t.Fatalf("sub-batch %v: %d items, %v\n%s", idx, len(subItems), err, sub)
+	}
+	_, worker, err := parseBatch(sub, newMachineCache())
+	if err != nil {
+		t.Fatalf("worker rejects sub-batch %v: %v", idx, err)
+	}
+	salt := keySalt(schedule.AlgoVersion, 0)
+	for k, i := range idx {
+		want := items[i]
+		if subItems[k].Key != want.Key || errText(subItems[k].Err) != errText(want.Err) {
+			t.Fatalf("sub-batch %v loop %d: %q %v\nwhole envelope: %q %v", idx, i, subItems[k].Key, subItems[k].Err, want.Key, want.Err)
+		}
+		wkey := ""
+		if worker[k].job != nil {
+			wkey = worker[k].job.cacheKey(salt)
+		}
+		if wkey != want.Key || errText(worker[k].err) != errText(want.Err) {
+			t.Fatalf("worker's sub-batch %v loop %d: %q %v\nwhole envelope: %q %v", idx, i, wkey, worker[k].err, want.Key, want.Err)
+		}
+	}
+	if again := AppendSubBatch(nil, items, idx); !bytes.Equal(again, sub) {
+		t.Fatalf("sub-batch %v encodes two ways:\n%s\n%s", idx, sub, again)
+	}
+}
+
+// checkSplitRoundTrip frames elements of every shape a worker writes —
+// per-loop admission errors, internal errors and indented response bodies
+// carrying the fuzz input's text — as a worker does, and requires
+// SplitBatch to return exactly them, InternalElement to pick out exactly
+// the internal ones, and a cut-short or mis-counted reply to be refused.
+func checkSplitRoundTrip(t *testing.T, items []BatchItem, data []byte) {
+	t.Helper()
+	var elems [][]byte
+	var internal []bool
+	for i, it := range items {
+		if it.Err != nil {
+			elems, internal = append(elems, ErrorElement(ErrCodeBadRequest, it.Err.Error())), append(internal, false)
+		}
+		elems, internal = append(elems, ErrorElement(ErrCodeInternal, string(data[:i%len(data)]))), append(internal, true)
+		var body bytes.Buffer
+		resp := &ScheduleResponse{Loop: string(data), Machine: it.Key, Time: []int{i, len(data)}, MaxLive: []int{}, Verified: true}
+		if err := encodeScheduleResponse(&body, resp); err != nil {
+			t.Fatal(err)
+		}
+		elems, internal = append(elems, trimElement(body.Bytes())), append(internal, false)
+	}
+	framed := []byte(BatchOpen + string(bytes.Join(elems, []byte(BatchSep))) + BatchClose)
+	split, err := SplitBatch(framed, len(elems))
+	if err != nil {
+		t.Fatalf("SplitBatch of a framed reply: %v\n%s", err, framed)
+	}
+	for i := range elems {
+		if !bytes.Equal(split[i], elems[i]) {
+			t.Fatalf("element %d split as\n%s\nwant\n%s", i, split[i], elems[i])
+		}
+		if InternalElement(split[i]) != internal[i] {
+			t.Fatalf("element %d: InternalElement = %t, want %t:\n%s", i, !internal[i], internal[i], split[i])
+		}
+	}
+	for _, bad := range [][]byte{framed[:len(framed)-1], framed[:len(framed)/2], framed[1:]} {
+		if _, err := SplitBatch(bad, len(elems)); err == nil {
+			t.Fatalf("SplitBatch accepted a cut-short reply:\n%s", bad)
+		}
+	}
+	for _, n := range []int{len(elems) - 1, len(elems) + 1} {
+		if _, err := SplitBatch(framed, n); err == nil {
+			t.Fatalf("SplitBatch split %d elements as %d", len(elems), n)
+		}
+	}
 }

@@ -489,15 +489,22 @@ func (s *Server) compute(key string, job *scheduleJob, epoch uint64, tr *obs.Tra
 	buf := encBufPool.Get().(*bytes.Buffer)
 	defer encBufPool.Put(buf)
 	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(buildResponse(job, res)); err != nil {
+	if err := encodeScheduleResponse(buf, buildResponse(job, res)); err != nil {
 		return nil, err
 	}
 	body := append(make([]byte, 0, buf.Len()), buf.Bytes()...)
 	s.cache.Add(key, body, epoch)
 	tr.Phase("encode", time.Since(encT))
 	return body, nil
+}
+
+// encodeScheduleResponse writes a response body: indented JSON and a
+// trailing newline. The indent is what lets SplitBatch find a batch's
+// element boundaries.
+func encodeScheduleResponse(buf *bytes.Buffer, r *ScheduleResponse) error {
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
 }
 
 // SweepRequest is the body of POST /v1/sweep. Empty Machines means the

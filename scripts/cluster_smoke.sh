@@ -97,11 +97,13 @@ hit="$(tr -d '\r' <"$work/h2" | sed -n 's/^X-Cache: //p')"
 cmp "$work/b1" "$work/b2" || { echo "cache hit bytes differ" >&2; exit 1; }
 
 echo "== distributed /v1/schedule/batch matches a standalone single node byte-for-byte"
-# The coordinator shards a batch's loops across the fleet per-loop and
-# reassembles the streamed array; a standalone gpserved answers the same
-# envelope in-process. The two bodies must be byte-identical, including the
-# in-place error element for the malformed middle loop (per-loop partial
-# failure, not a 400).
+# The coordinator places each of a batch's loops by its own key, forwards
+# one sub-batch per worker to that worker's batch endpoint and reassembles
+# the streamed array from the replies; a standalone gpserved answers the
+# same envelope in-process. The two bodies must be byte-identical,
+# including the in-place error element for the malformed middle loop
+# (per-loop partial failure, not a 400), which the coordinator renders
+# without forwarding it.
 "$work/gpserved" -addr 127.0.0.1:0 >"$work/standalone.log" 2>&1 &
 pids+=($!)
 sa_pid=$!
