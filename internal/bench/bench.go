@@ -49,9 +49,14 @@ type Report struct {
 	// MeanIPC is the arithmetic mean across benchmarks per scheme (the
 	// paper's "average" summary).
 	MeanIPC map[string]float64
-	// SchedTime is the total scheduling wall time per scheme, Table 2's
-	// relative-cost metric.
+	// SchedTime is the total scheduling time per scheme, Table 2's
+	// relative-cost metric: the sum of every loop's scheduling time on its
+	// thread's CPU clock (the wall clock where that clock is missing).
 	SchedTime map[string]time.Duration
+	// Attempts, Partitions and PartitionsReused total the deterministic
+	// work behind SchedTime per scheme: the II values tried, the partitions
+	// computed and those returned without refining (core.Result).
+	Attempts, Partitions, PartitionsReused map[string]int
 	// Loops is the number of loops scheduled (per scheme).
 	Loops int
 }
@@ -122,9 +127,12 @@ func RunContext(ctx context.Context, bms []*workload.Benchmark, cfg Config) (*Re
 	unified := machine.UnifiedOf(clustered)
 
 	rep := &Report{
-		Machine:   clustered,
-		MeanIPC:   map[string]float64{},
-		SchedTime: map[string]time.Duration{},
+		Machine:          clustered,
+		MeanIPC:          map[string]float64{},
+		SchedTime:        map[string]time.Duration{},
+		Attempts:         map[string]int{},
+		Partitions:       map[string]int{},
+		PartitionsReused: map[string]int{},
 	}
 
 	type scheme struct {
@@ -162,11 +170,14 @@ func RunContext(ctx context.Context, bms []*workload.Benchmark, cfg Config) (*Re
 		for _, sc := range schemes {
 			var ops, cycles float64
 			for _, loop := range bm.Loops {
-				res := results[k]
+				res := results[k].res
+				rep.SchedTime[sc.name] += results[k].elapsed
 				k++
 				ops += loop.Weight * float64(loop.G.N()) * float64(loop.G.Niter)
 				cycles += loop.Weight * float64(res.Schedule.Cycles(loop.G.Niter))
-				rep.SchedTime[sc.name] += res.Elapsed
+				rep.Attempts[sc.name] += res.Attempts
+				rep.Partitions[sc.name] += res.Partitions
+				rep.PartitionsReused[sc.name] += res.PartitionsReused
 				if res.ListFallback {
 					row.Fallbacks[sc.name]++
 				}
@@ -259,17 +270,23 @@ func (r *Report) Render() string {
 }
 
 // RenderTable2 prints the scheduling-time comparison of several reports in
-// the shape of the paper's Table 2.
+// the shape of the paper's Table 2, with the deterministic work beside the
+// times: each scheme's scheduling attempts, and the partitions Fixed and
+// GP computed and reused.
 func RenderTable2(reports []*Report) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s%12s%12s%12s%10s\n", "configuration", "URACAM", "Fixed", "GP", "ratio")
+	fmt.Fprintf(&b, "%-28s%12s%12s%12s%10s%20s%18s%14s\n", "configuration", "URACAM", "Fixed", "GP", "ratio",
+		"attempts U/F/GP", "partitions F/GP", "reused F/GP")
 	for _, r := range reports {
-		fmt.Fprintf(&b, "%-28s%12s%12s%12s%9.1fx\n",
+		fmt.Fprintf(&b, "%-28s%12s%12s%12s%9.1fx%20s%18s%14s\n",
 			r.Machine.Name,
 			r.SchedTime[SchemeURACAM].Round(time.Millisecond),
 			r.SchedTime[SchemeFixed].Round(time.Millisecond),
 			r.SchedTime[SchemeGP].Round(time.Millisecond),
-			r.TimeRatio())
+			r.TimeRatio(),
+			fmt.Sprintf("%d/%d/%d", r.Attempts[SchemeURACAM], r.Attempts[SchemeFixed], r.Attempts[SchemeGP]),
+			fmt.Sprintf("%d/%d", r.Partitions[SchemeFixed], r.Partitions[SchemeGP]),
+			fmt.Sprintf("%d/%d", r.PartitionsReused[SchemeFixed], r.PartitionsReused[SchemeGP]))
 	}
 	return b.String()
 }

@@ -28,8 +28,8 @@ const goldenTimesCSV = `config,scheme,seconds
 2-cluster/32reg/1bus/lat1,GP,1.0000
 `
 
-const goldenTable2 = `configuration                     URACAM       Fixed          GP     ratio
-2-cluster/32reg/1bus/lat1             5s          1s          1s      5.0x
+const goldenTable2 = `configuration                     URACAM       Fixed          GP     ratio     attempts U/F/GP   partitions F/GP   reused F/GP
+2-cluster/32reg/1bus/lat1             5s          1s          1s      5.0x            40/30/35             10/12           0/3
 `
 
 func TestRenderGolden(t *testing.T) {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ddg"
@@ -31,19 +33,36 @@ func (j *job) wrap(err error) error {
 	return fmt.Errorf("bench: %s/%s on %s: %w", j.benchmark, j.g.Name, j.scheme, err)
 }
 
+// jobResult is one job's schedule and its scheduling time.
+type jobResult struct {
+	res     *core.Result
+	elapsed time.Duration
+}
+
 // run schedules the job and, when the differential oracle is enabled,
 // verifies the produced schedule against the dependence graph and machine.
-func (j *job) run(ctx context.Context) (*core.Result, error) {
+// The scheduling (not the verification) is timed on the thread's CPU
+// clock, which time the host gives to other work does not advance, or on
+// the wall clock where that clock is missing.
+func (j *job) run(ctx context.Context) (jobResult, error) {
+	runtime.LockOSThread()
+	start := time.Now()
+	cpu0, cpuOK := threadCPU()
 	res, err := core.ScheduleLoopContext(ctx, j.g, j.m, j.opts)
+	elapsed := time.Since(start)
+	if cpu1, ok := threadCPU(); cpuOK && ok {
+		elapsed = cpu1 - cpu0
+	}
+	runtime.UnlockOSThread()
 	if err != nil {
-		return nil, j.wrap(err)
+		return jobResult{}, j.wrap(err)
 	}
 	if j.verify {
 		if err := schedule.Verify(j.g, j.m, res.Schedule); err != nil {
-			return nil, j.wrap(err)
+			return jobResult{}, j.wrap(err)
 		}
 	}
-	return res, nil
+	return jobResult{res, elapsed}, nil
 }
 
 // runJobs executes every job and returns results index-aligned with jobs:
@@ -58,14 +77,14 @@ func (j *job) run(ctx context.Context) (*core.Result, error) {
 // several jobs fail genuinely at once, cancellation may reach an
 // earlier-indexed job before its own failure does, so which genuine error
 // is reported can vary.)
-func runJobs(ctx context.Context, jobs []job, workers int) ([]*core.Result, error) {
+func runJobs(ctx context.Context, jobs []job, workers int) ([]jobResult, error) {
 	if workers < 1 {
 		workers = 1 // the GOMAXPROCS default lives in Config.workers()
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	results := make([]*core.Result, len(jobs))
+	results := make([]jobResult, len(jobs))
 
 	if workers <= 1 {
 		for i := range jobs {

@@ -21,6 +21,10 @@ func fakeReport() *Report {
 		SchedTime: map[string]time.Duration{
 			SchemeUnified: time.Second, SchemeURACAM: 5 * time.Second,
 			SchemeFixed: time.Second, SchemeGP: time.Second},
+		Attempts: map[string]int{
+			SchemeUnified: 6, SchemeURACAM: 40, SchemeFixed: 30, SchemeGP: 35},
+		Partitions:       map[string]int{SchemeFixed: 10, SchemeGP: 12},
+		PartitionsReused: map[string]int{SchemeGP: 3},
 	}
 }
 

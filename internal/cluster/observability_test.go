@@ -211,25 +211,35 @@ func TestBatchLoopRequestIDSuffixes(t *testing.T) {
 	waitForStates(t, coord, map[string]string{"wA": "ready", "wB": "ready"})
 
 	const id = "feedface00000000"
-	names := []string{"obsa", "obsb", "obsc", "obsd", "obse", "obsf"}
-	body := batchBody(t, names, false)
 	// The sub-batches an idle fleet forms: the loops grouped by HRW owner,
-	// each group named by its first loop.
-	items, err := server.BatchItems(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := map[int]string{} // first loop -> node
-	loopsOf := map[string][]string{}
-	for i, it := range items {
-		owner, _, _, _ := place(coord.reg.candidates(), it.Key, nil, 0)
-		if len(loopsOf[owner.id]) == 0 {
-			groups[i] = owner.id
+	// each group named by its first loop. The test needs both workers, and
+	// the keys carry the algorithm version, so the loops are the first six
+	// consecutive names of a fixed pool whose keys map to both.
+	pool := []string{"obsa", "obsb", "obsc", "obsd", "obse", "obsf", "obsg", "obsh", "obsi", "obsj", "obsk", "obsl"}
+	var (
+		names   []string
+		body    []byte
+		groups  map[int]string // first loop -> node
+		loopsOf map[string][]string
+	)
+	for start := 0; start+6 <= len(pool) && len(groups) != 2; start++ {
+		names = pool[start : start+6]
+		body = batchBody(t, names, false)
+		items, err := server.BatchItems(body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		loopsOf[owner.id] = append(loopsOf[owner.id], strconv.Itoa(i))
+		groups, loopsOf = map[int]string{}, map[string][]string{}
+		for i, it := range items {
+			owner, _, _, _ := place(coord.reg.candidates(), it.Key, nil, 0)
+			if len(loopsOf[owner.id]) == 0 {
+				groups[i] = owner.id
+			}
+			loopsOf[owner.id] = append(loopsOf[owner.id], strconv.Itoa(i))
+		}
 	}
 	if len(groups) != 2 {
-		t.Fatalf("the batch's loops all have one owner (%v); the test needs both workers", loopsOf)
+		t.Fatalf("no six consecutive loops of %v have two owners (last: %v); the test needs both workers", pool, loopsOf)
 	}
 
 	req, err := http.NewRequest(http.MethodPost, base+"/v1/schedule/batch", bytes.NewReader(body))

@@ -208,6 +208,10 @@ func (r *registry) adopt(recs []store.NodeRecord) int {
 // heartbeat refreshes a node's liveness, reviving suspect and dead nodes,
 // and absorbs the version and epoch the worker piggybacked on the beat (an
 // empty version is an older worker and leaves the registered one alone).
+// The recorded epoch only rises here: a beat sent before a flush can land
+// after the fan-out recorded the flushed epoch (setNodeEpoch), and the
+// fleet epoch never falls, so a lower epoch is a stale report. A restarted
+// worker re-registers, which sets its epoch outright.
 // It reports false for an unknown ID: the worker must re-register so the
 // coordinator relearns its endpoint and capacity.
 func (r *registry) heartbeat(id, algoVersion string, epoch uint64) bool {
@@ -223,7 +227,7 @@ func (r *registry) heartbeat(id, algoVersion string, epoch uint64) bool {
 			r.storeErr("put_node", err)
 		}
 	}
-	n.epoch = epoch
+	n.epoch = max(n.epoch, epoch)
 	n.state = NodeReady
 	n.lastHeartbeat = r.now()
 	return true

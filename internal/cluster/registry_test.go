@@ -88,6 +88,30 @@ func TestHeartbeatUnknownNode(t *testing.T) {
 	}
 }
 
+// TestHeartbeatNeverLowersEpoch pins the flush race: a beat the worker sent
+// before a flush, carrying its old epoch, lands after the fan-out recorded
+// the flushed one. The registry keeps the flushed epoch; re-registering
+// still sets the epoch outright.
+func TestHeartbeatNeverLowersEpoch(t *testing.T) {
+	r, _ := newTestRegistry()
+	r.register("w1", "http://w1", 4, "", 0)
+	r.setNodeEpoch("w1", 5)
+	if !r.heartbeat("w1", "", 0) {
+		t.Fatal("heartbeat for known node rejected")
+	}
+	if got := r.snapshot()[0].Epoch; got != 5 {
+		t.Fatalf("a stale heartbeat walked the epoch back to %d, want 5", got)
+	}
+	r.heartbeat("w1", "", 7)
+	if got := r.snapshot()[0].Epoch; got != 7 {
+		t.Fatalf("heartbeat carrying epoch 7 left %d", got)
+	}
+	r.register("w1", "http://w1", 4, "", 0)
+	if got := r.snapshot()[0].Epoch; got != 0 {
+		t.Fatalf("re-register left epoch %d, want 0", got)
+	}
+}
+
 func TestReportFailureMarksSuspect(t *testing.T) {
 	r, _ := newTestRegistry()
 	r.register("w1", "http://w1", 1, "", 0)

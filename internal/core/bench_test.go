@@ -84,3 +84,23 @@ func BenchmarkDSPSweepPass(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSPECfpPass measures one pass of the perfledger specfp-paper
+// compile set: the 81 SPECfp95 loops under GP on the paper's
+// 4-cluster/64reg/1bus/lat1 machine. Each compilation schedules a fresh
+// clone of its loop, as BenchmarkDSPSweepPass does.
+func BenchmarkSPECfpPass(b *testing.B) {
+	m := machine.MustClustered(4, 64, 1, 1)
+	corpus := workload.SPECfp95()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, bm := range corpus {
+			for _, l := range bm.Loops {
+				if _, err := ScheduleLoop(l.G.Clone(), m, &Options{Algorithm: GP}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}

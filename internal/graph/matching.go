@@ -85,13 +85,20 @@ type Matcher struct {
 	stamp   []uint32
 	gen     uint32
 
-	// order is the greedy scan order over edge indices.
+	// order is the greedy scan order over edge indices, and keys its
+	// packed sort keys (see greedyOrder).
 	order []int
+	keys  []uint64
 
 	// The 2-exchange best-edge index: every non-loop edge listed under
 	// both endpoints, each vertex's list in ascending edge order (CSR).
 	head []int
 	inc  []incidence
+	// pos maps a vertex to the position in EdgeIdx of the greedy edge
+	// that covers it (-1 for none), and near collects the positions a
+	// pair exchange visits.
+	pos  []int
+	near []int
 }
 
 // incidence is one entry of a vertex's edge list: the other endpoint and
@@ -115,18 +122,8 @@ func (mt *Matcher) MaxWeight(g *Graph) *Matching {
 // added when both endpoints are free. This is a ½-approximation of the
 // maximum-weight matching.
 func (mt *Matcher) Greedy(g *Graph) *Matching {
-	order := mt.order[:0]
-	for i := range g.Edges {
-		order = append(order, i)
-	}
-	mt.order = order
 	edges := g.Edges
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(edges[b].W, edges[a].W); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	order := mt.greedyOrder(edges)
 	m := mt.reset(g.N)
 	for _, ei := range order {
 		e := edges[ei]
@@ -141,6 +138,65 @@ func (mt *Matcher) Greedy(g *Graph) *Matching {
 	}
 	return m
 }
+
+// Packed greedy keys: (maxW − W) above keyIdxBits bits of edge index, so
+// that ascending keys are descending weights with ties by ascending index.
+// Weights must lie in [0, 1<<keyWBits) and indices below 1<<keyIdxBits for
+// the key to fit in 63 bits.
+const (
+	keyIdxBits = 24
+	keyWBits   = 39
+)
+
+// greedyOrder returns the edge indices sorted by decreasing weight, ties by
+// ascending index, in the Matcher's order buffer. The order is total, so
+// any correct sort yields the same permutation: when every weight and index
+// fits a packed key it sorts plain integers, and otherwise it falls back to
+// comparing the edges.
+func (mt *Matcher) greedyOrder(edges []Edge) []int {
+	order := mt.order[:0]
+	if greedyOrderReference != nil {
+		order = greedyOrderReference(order, edges)
+		mt.order = order
+		return order
+	}
+	var maxW int64
+	packed := len(edges) < 1<<keyIdxBits
+	for _, e := range edges {
+		if e.W < 0 || e.W >= 1<<keyWBits {
+			packed = false
+			break
+		}
+		maxW = max(maxW, e.W)
+	}
+	if !packed {
+		for i := range edges {
+			order = append(order, i)
+		}
+		slices.SortFunc(order, func(a, b int) int {
+			if c := cmp.Compare(edges[b].W, edges[a].W); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		mt.order = order
+		return order
+	}
+	keys := mt.keys[:0]
+	for i, e := range edges {
+		keys = append(keys, uint64(maxW-e.W)<<keyIdxBits|uint64(i))
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		order = append(order, int(k&(1<<keyIdxBits-1)))
+	}
+	mt.keys, mt.order = keys, order
+	return order
+}
+
+// greedyOrderReference, when a test sets it, replaces greedyOrder's sort:
+// it appends the order to its first argument and returns it.
+var greedyOrderReference func(order []int, edges []Edge) []int
 
 // reset empties the Matcher's result for an n-vertex graph and returns it.
 func (mt *Matcher) reset(n int) *Matching {
@@ -165,9 +221,23 @@ func (mt *Matcher) reset(n int) *Matching {
 // edge whose other endpoint is free. It repeats until a pass makes no
 // improvement, for at most maxImprovePasses passes, then rebuilds EdgeIdx
 // and Weight from Mate.
+//
+// Either rematching needs an edge from a to c or d, so the pair loop
+// visits, for each matched edge, only the later matched edges with an
+// endpoint adjacent to a, in ascending position: the pairs it skips could
+// not rewire, so it makes the same rewires in the same order as visiting
+// every pair.
 func (mt *Matcher) improve(g *Graph) {
 	mt.indexEdges(g)
 	m := &mt.m
+	pos := slices.Grow(mt.pos[:0], g.N)[:g.N]
+	for v := range pos {
+		pos[v] = -1
+	}
+	for i, ei := range m.EdgeIdx {
+		pos[g.Edges[ei].U], pos[g.Edges[ei].V] = i, i
+	}
+	mt.pos = pos
 	weightOf := func(u, v int) (int64, bool) {
 		if j := mt.heaviest(g, u, v); j >= 0 {
 			return g.Edges[j].W, true
@@ -209,10 +279,23 @@ func (mt *Matcher) improve(g *Graph) {
 		// EdgeIdx still lists the greedy matching's edges; the Mate check
 		// skips those no longer matched.
 		for i, ei := range m.EdgeIdx {
-			for _, ej := range m.EdgeIdx[i+1:] {
-				e1, e2 := g.Edges[ei], g.Edges[ej]
-				a, b, c, d := e1.U, e1.V, e2.U, e2.V
-				if m.Mate[a] != b || m.Mate[c] != d {
+			e1 := g.Edges[ei]
+			a, b := e1.U, e1.V
+			if m.Mate[a] != b {
+				continue // already rewired this pass
+			}
+			near := mt.near[:0]
+			for _, in := range mt.inc[mt.head[a]:mt.head[a+1]] {
+				if j := pos[in.v]; j > i {
+					near = append(near, j)
+				}
+			}
+			slices.Sort(near)
+			mt.near = slices.Compact(near)
+			for _, j := range mt.near {
+				e2 := g.Edges[m.EdgeIdx[j]]
+				c, d := e2.U, e2.V
+				if m.Mate[c] != d {
 					continue // already rewired this pass
 				}
 				base := e1.W + e2.W
@@ -223,7 +306,7 @@ func (mt *Matcher) improve(g *Graph) {
 						matchPair(m, a, c)
 						matchPair(m, b, d)
 						improved = true
-						continue
+						break
 					}
 				}
 				if w1, ok1 := weightOf(a, d); ok1 {
@@ -233,6 +316,7 @@ func (mt *Matcher) improve(g *Graph) {
 						matchPair(m, a, d)
 						matchPair(m, b, c)
 						improved = true
+						break
 					}
 				}
 			}

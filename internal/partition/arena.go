@@ -52,9 +52,10 @@ type Arena struct {
 	levels []*level // level hierarchy, reused finest-first per run
 
 	// Coarsening scratch: the matching at every level (its result lives
-	// until the next level's matching), collapseEdgesInto's rows (per
-	// smaller group: its start, partners, weights and fill count) and
-	// partner slots, fuse's remap table and matched-edge order.
+	// until the next level's matching), the collapse's rows (per smaller
+	// group: its start, partners, weights and fill count) and partner
+	// slots, the remap table from a level's groups to the next level's,
+	// and fuse's matched-edge order.
 	match   graph.Matcher
 	owner   []int // node → group of the level being built or refined
 	colHead []int
@@ -67,11 +68,14 @@ type Arena struct {
 
 	// The refinement tables of the level being refined (indexLevel): each
 	// group's boundary data edges and its neighbor groups, as CSR pairs.
+	// Per refinement iteration (clusterGroups): each cluster's groups.
 	bndHead []int
 	bndList []int
 	nbrHead []int
 	nbrList []int
 	nbrFill []int
+	clHead  []int
+	clList  []int
 
 	// The repartition memo's content (see Partition): the member lists of
 	// the levels it refined, concatenated, with each group's end offset
@@ -124,13 +128,11 @@ func (lv *level) addGroup(parts ...[]int) {
 	lv.groups = append(lv.groups, lv.slab[start:lv.used:lv.used])
 }
 
-// collapseEdgesInto rebuilds lv.edges as the inter-group data edges with
-// summed weights (parallel edges combine, intra-group edges disappear —
-// §2.1.2), sorted by (U, V), using only arena storage. Each edge is
-// bucketed under its smaller group in a CSR row; a row's duplicates merge
-// into one entry per partner (slot marks where partner b's entry sits in
-// lv.edges; an entry from an earlier row lies before the row's start), and
-// the merged row is then sorted by partner.
+// collapseEdgesInto rebuilds lv.edges from the original graph as the
+// inter-group data edges with summed weights (parallel edges combine,
+// intra-group edges disappear — §2.1.2), sorted by (U, V), using only arena
+// storage. Coarsening builds level 0 with it; coarser levels collapse the
+// level below (collapseLevel).
 func (p *Partitioner) collapseEdgesInto(lv *level) {
 	ar, g := p.ar, p.g
 	nG := len(lv.groups)
@@ -148,15 +150,7 @@ func (p *Partitioner) collapseEdgesInto(lv *level) {
 			head[min(a, b)+1]++
 		}
 	}
-	for i := 0; i < nG; i++ {
-		head[i+1] += head[i]
-	}
-	part := resizeInts(ar.colPart, head[nG])
-	ar.colPart = part
-	weight := resizeInt64s(ar.colW, head[nG])
-	ar.colW = weight
-	fill := zeroInts(ar.colFill, nG)
-	ar.colFill = fill
+	part, weight, fill := p.collapseRows(nG)
 	for ei, e := range g.Edges {
 		if a, b := owner[e.From], owner[e.To]; e.Kind == ddg.Data && a != b {
 			a, b = min(a, b), max(a, b)
@@ -164,6 +158,62 @@ func (p *Partitioner) collapseEdgesInto(lv *level) {
 			fill[a]++
 		}
 	}
+	p.mergeRows(lv)
+}
+
+// collapseLevel builds next.edges from cur.edges, where remap maps each
+// group of cur to the group of next that contains it: an edge inside one
+// next group disappears and parallel edges combine. Every edge of cur is
+// a sum of original data edges between its two groups, so the sums, and
+// the (U, V) order, are exactly what collapsing the original graph gives.
+func (p *Partitioner) collapseLevel(cur, next *level, remap []int) {
+	if h := reference; h != nil && h.collapse != nil {
+		h.collapse(p, next)
+		return
+	}
+	ar := p.ar
+	nG := len(next.groups)
+	head := zeroInts(ar.colHead, nG+1)
+	ar.colHead = head
+	for _, e := range cur.edges {
+		if a, b := remap[e.U], remap[e.V]; a != b {
+			head[min(a, b)+1]++
+		}
+	}
+	part, weight, fill := p.collapseRows(nG)
+	for _, e := range cur.edges {
+		if a, b := remap[e.U], remap[e.V]; a != b {
+			a, b = min(a, b), max(a, b)
+			part[head[a]+fill[a]], weight[head[a]+fill[a]] = b, e.W
+			fill[a]++
+		}
+	}
+	p.mergeRows(next)
+}
+
+// collapseRows turns the per-row edge counts in colHead[1:] into row
+// starts and returns the arena's partner, weight and zeroed fill buffers
+// for filling the nG rows.
+func (p *Partitioner) collapseRows(nG int) (part []int, weight []int64, fill []int) {
+	ar := p.ar
+	head := ar.colHead
+	for i := 0; i < nG; i++ {
+		head[i+1] += head[i]
+	}
+	ar.colPart = resizeInts(ar.colPart, head[nG])
+	ar.colW = resizeInt64s(ar.colW, head[nG])
+	ar.colFill = zeroInts(ar.colFill, nG)
+	return ar.colPart, ar.colW, ar.colFill
+}
+
+// mergeRows writes the filled collapse rows into lv.edges: each row's
+// duplicates merge into one entry per partner (slot marks where partner
+// b's entry sits in lv.edges; an entry from an earlier row lies before the
+// row's start), and the merged row is then sorted by partner.
+func (p *Partitioner) mergeRows(lv *level) {
+	ar := p.ar
+	nG := len(lv.groups)
+	head, part, weight := ar.colHead, ar.colPart, ar.colW
 	slot := resizeInts(ar.colSlot, nG)
 	ar.colSlot = slot
 	for i := range slot {

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ddg"
 	"repro/internal/machine"
+	"repro/internal/workload"
 )
 
 // Micro-benchmarks for the partitioner's phases.
@@ -29,6 +31,28 @@ func BenchmarkPartitionLarge4Cluster(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		New(g, m, nil).Partition(ii)
+	}
+}
+
+// BenchmarkPartitionCoarsen measures the coarsening phase alone on the
+// paper machine's costliest coarsening: fpppp/loop0 at its MII, from its
+// edge weights to the coarsest level, on a warmed arena.
+func BenchmarkPartitionCoarsen(b *testing.B) {
+	var g *ddg.Graph
+	for _, bm := range workload.SPECfp95() {
+		if bm.Name == "fpppp" {
+			g = bm.Loops[0].G
+		}
+	}
+	m := machine.MustClustered(4, 64, 1, 1)
+	ii := g.MII(m)
+	p := New(g, m, nil)
+	p.computeWeights(ii)
+	p.coarsen()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.coarsen()
 	}
 }
 

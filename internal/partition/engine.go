@@ -18,7 +18,12 @@
 // time. A candidate that leaves the path's cut edges and the II as they
 // are is typically bounded by exactly the current time, so the bound
 // rejects almost every candidate; only the ones it cannot reject are
-// applied, estimated and undone.
+// applied, estimated and undone. setPath also tabulates, once per
+// refinement iteration, what every candidate's probe would otherwise
+// recompute from state no probe changes: each cluster's resource II, and
+// the path's latency under the current cut with the groups that can
+// change it stamped, so a candidate moving neither stamped group skips
+// the path walk.
 //
 // Invariants (held between moves, checked by the engine equivalence test):
 //   - cut[ei] ⇔ edge ei is a Data edge with endpoints in different clusters
@@ -67,17 +72,30 @@ type engine struct {
 
 	// The critical path setPath recorded for pathBound: its data edges,
 	// its total distance, and its latency with no edge cut (the edges'
-	// latencies plus its last node's); pathOK reports that a path was
-	// recorded and that niter−1 ≥ pathDist. A node is on the current walk
-	// when its onPath entry equals pathGen.
-	pathData []int
-	pathDist int
-	pathLat  int64
-	pathOK   bool
-	onPath   []int
-	pathGen  int
+	// latencies plus its last node's) and under the current cut (plus
+	// LatBus per cut data edge); pathOK reports that a path was recorded
+	// and that niter−1 ≥ pathDist. A node is on the current walk when its
+	// onPath entry equals pathGen, and a group owns an endpoint of a path
+	// data edge between two groups when its pathGroup entry does.
+	pathData   []int
+	pathDist   int
+	pathLat    int64
+	pathCutLat int64
+	pathOK     bool
+	onPath     []int
+	pathGroup  []int
+	pathGen    int
 
-	times ddg.Times // reusable start-time buffers for estimate
+	// Per cluster: its units of each kind, and as setPath last tabulated
+	// them from counts, each kind's resource II (kindII) and the largest of
+	// those; and the clusters with the three largest, largest first (-1
+	// past the cluster count).
+	units [][isa.NumUnitKinds]int
+	kII   [][isa.NumUnitKinds]int
+	clII  []int
+	topII [3]int
+
+	times ddg.Times // reusable start-time buffers for the estimates
 }
 
 // newEngine returns the partitioner's arena-owned engine, synchronized with
@@ -105,14 +123,15 @@ func (en *engine) reset(assign []int) {
 	en.crossOut = zeroInts(en.crossOut, n)
 	en.dOut = zeroInts(en.dOut, n)
 	en.onPath = zeroInts(en.onPath, n)
+	en.pathGroup = zeroInts(en.pathGroup, n)
 	en.pathGen, en.pathOK = 0, false
-	if cap(en.counts) >= c {
-		en.counts = en.counts[:c]
-	} else {
-		en.counts = make([][isa.NumUnitKinds]int, c)
-	}
+	en.counts = resizeKinds(en.counts, c)
+	en.units = resizeKinds(en.units, c)
 	for i := range en.counts {
 		en.counts[i] = [isa.NumUnitKinds]int{}
+		for k := range en.units[i] {
+			en.units[i][k] = m.UnitsIn(i, isa.UnitKind(k))
+		}
 	}
 	en.destCnt, en.perLink = nil, nil
 	if m.Topology == machine.PointToPoint {
@@ -216,22 +235,14 @@ func (en *engine) xfer() (iiBus, nComm int) {
 	return ceilDiv(en.nComm*occ, m.NBus), en.nComm
 }
 
-// estimate computes the full §3.2.2 quality estimate for the current
-// assignment from the maintained state: only the longest-path time analysis
-// runs on the graph; the cut set, counts and interconnect tallies are
-// already up to date. Produces bit-identical results to
-// Partitioner.evaluate.
-func (en *engine) estimate(ii int) estimate {
-	est := en.estimateFast(ii)
-	en.finishSlack(&est)
-	return est
-}
-
-// estimateFast computes everything but the cut-slack tie-break: the
-// execution time needs only the forward (ASAP) relaxation, so the ALAP
+// estimateFast computes the §3.2.2 quality estimate for the current
+// assignment from the maintained state, all but the cut-slack tie-break:
+// only the forward (ASAP) longest-path analysis runs on the graph, as the
+// cut set, counts and interconnect tallies are already up to date. The ALAP
 // pass and the per-edge slack sum are deferred to finishSlack and run only
-// for candidates whose primary key is competitive. est.cutSlack is left 0
-// and est.slackII records the II the deferred slacks are defined at.
+// for candidates whose primary key is competitive; with it, the estimate
+// is bit-identical to Partitioner.evaluate's. est.cutSlack is left 0 and
+// est.slackII records the II the deferred slacks are defined at.
 func (en *engine) estimateFast(ii int) estimate {
 	p := en.p
 	g, m := p.g, p.m
@@ -257,6 +268,22 @@ func (en *engine) estimateFast(ii int) estimate {
 			t2, used2 := g.EstimateTimeInto(m, extraMemII, en.extra, &en.times)
 			est.t, est.ii = t2, used2
 		}
+	}
+	return est
+}
+
+// iterationEstimate returns the estimate a refinement iteration compares
+// its candidates against, and leaves en.times holding the forward times at
+// the estimate's slack II for setPath. It needs no cut-slack tie-break, as
+// a winner must beat its t strictly; when the register-aware pass left the
+// times at its own II, the forward pass is re-run at the slack II.
+func (en *engine) iterationEstimate(ii int) estimate {
+	if h := reference; h != nil && h.estimate != nil {
+		return h.estimate(en, ii)
+	}
+	est := en.estimateFast(ii)
+	if en.times.II != est.slackII {
+		en.p.g.EstimateTimeInto(en.p.m, est.slackII, en.extra, &en.times)
 	}
 	return est
 }
@@ -293,26 +320,73 @@ func (p *Partitioner) timeBound(ii, resII, iiBus int) int64 {
 	return int64(p.g.Niter-1)*int64(max(ii, resII, iiBus)) + int64(p.maxOpLat)
 }
 
-// resIIAfter returns the resource MII of the assignment the refinement
+// resIIProbe returns the resource MII of the assignment the refinement
 // candidate would leave — group gi of level lv moved from its cluster c1
 // to cluster c2 and, when gj ≥ 0, group gj moved to c1 — without applying
-// it.
-func (en *engine) resIIAfter(lv *level, gi, c1, c2, gj int) int {
+// it: resIIFrom of the moved counts. Only c1's and c2's counts change, and
+// only in the kinds the candidate moves a net number of operations of, so
+// every other cluster, and every other kind of c1 and c2, keeps the
+// resource II setPath tabulated; the largest other cluster's is among the
+// top three.
+func (en *engine) resIIProbe(lv *level, gi, c1, c2, gj int) int {
 	gcs := en.p.groupCountsOf(lv)
-	d := gcs[gi]
-	if gj >= 0 {
-		for k := range d {
-			d[k] -= gcs[gj][k]
+	resII := 1
+	for k := range isa.NumUnitKinds {
+		d := gcs[gi][k]
+		if gj >= 0 {
+			d -= gcs[gj][k]
+		}
+		if d == 0 {
+			resII = max(resII, en.kII[c1][k], en.kII[c2][k])
+		} else {
+			resII = max(resII, kindII(en.counts[c1][k]-d, en.units[c1][k]), kindII(en.counts[c2][k]+d, en.units[c2][k]))
 		}
 	}
-	return resIIMoved(en.p.m, en.counts, c1, c2, d)
+	for _, c := range en.topII {
+		if c != c1 && c != c2 {
+			if c >= 0 {
+				resII = max(resII, en.clII[c])
+			}
+			break
+		}
+	}
+	return resII
+}
+
+// setResII tabulates each cluster's resource II under the current counts,
+// by unit kind and in all, and the three clusters with the largest, for
+// resIIProbe.
+func (en *engine) setResII() {
+	n := en.p.m.Clusters
+	en.kII = resizeKinds(en.kII, n)
+	en.clII = resizeInts(en.clII, n)
+	en.topII = [3]int{-1, -1, -1}
+	for c := range en.clII {
+		v := 0
+		for k, n := range en.counts[c] {
+			en.kII[c][k] = kindII(n, en.units[c][k])
+			v = max(v, en.kII[c][k])
+		}
+		en.clII[c] = v
+		for i := range en.topII {
+			if t := en.topII[i]; t < 0 || v > en.clII[t] {
+				copy(en.topII[i+1:], en.topII[i:])
+				en.topII[i] = c
+				break
+			}
+		}
+	}
 }
 
 // setPath records one longest path of the current assignment for
-// pathBound, from the ASAP times en.times holds (as estimate leaves them):
-// it starts at the first node that sets SL and walks back along tight
-// arcs, Earliest[u] + lat + extra − II·dist = Earliest[v], until it
-// reaches a node that starts at cycle 0 or one it has already visited.
+// pathBound, from the ASAP times en.times holds (as estimateFast leaves
+// them, at the estimate's slackII): it starts at the first node that sets
+// SL and walks back along tight arcs, Earliest[u] + lat + extra − II·dist
+// = Earliest[v], until it reaches a node that starts at cycle 0 or one it
+// has already visited. It then tabulates the per-iteration state of
+// pathBound's probes (the path's cut latency and the groups that can
+// change it, on the level indexLevel last built, and each cluster's
+// resource II), which holds until the next move.
 func (en *engine) setPath() {
 	g, m, t := en.p.g, en.p.m, &en.times
 	v := 0
@@ -345,6 +419,22 @@ func (en *engine) setPath() {
 		en.onPath[v] = en.pathGen
 	}
 	en.pathOK = g.Niter-1 >= en.pathDist
+
+	// A data edge inside one group is never cut, wherever the group goes,
+	// so only a candidate moving a group that owns an endpoint of a path
+	// data edge between two groups can change the path's cut latency.
+	owner := en.p.ar.owner
+	en.pathCutLat = en.pathLat
+	for _, ei := range en.pathData {
+		e := &g.Edges[ei]
+		if en.cut[ei] {
+			en.pathCutLat += int64(m.LatBus)
+		}
+		if a, b := owner[e.From], owner[e.To]; a != b {
+			en.pathGroup[a], en.pathGroup[b] = en.pathGen, en.pathGen
+		}
+	}
+	en.setResII()
 }
 
 // pathBound returns a proven lower bound on the execution time of the
@@ -359,7 +449,9 @@ func (en *engine) setPath() {
 // any II the schedule length is at least L − II·D, where D is P's total
 // distance and L its latency under the candidate's cut: its edges'
 // latencies, the bus latency on each of its data edges the candidate
-// leaves cut, and its last node's latency. The estimator's II is at least
+// leaves cut, and its last node's latency; a candidate that moves no
+// group setPath stamped leaves every path edge's cut state, so its L is
+// the current one. The estimator's II is at least
 // IIlb = max(ii, resII′, iiBus′), so T = (niter−1)·II + SL is at least
 // (niter−1−D)·IIlb + L when niter−1 ≥ D; the path term is used only then.
 // When P starts at cycle 0, L − II·D is the current SL, so a candidate
@@ -374,12 +466,14 @@ func (en *engine) setPath() {
 func (en *engine) pathBound(lv *level, ii, gi, c2, gj int, floor int64) int64 {
 	p := en.p
 	g, c1 := p.g, en.assign[lv.groups[gi][0]]
-	resII := en.resIIAfter(lv, gi, c1, c2, gj)
-	l := en.pathLat
-	if en.pathOK {
+	resII := en.resIIProbe(lv, gi, c1, c2, gj)
+	l := en.pathCutLat
+	if en.pathOK && (en.pathGroup[gi] == en.pathGen || gj >= 0 && en.pathGroup[gj] == en.pathGen) {
+		l = en.pathLat
+		owner := p.ar.owner
 		for _, ei := range en.pathData {
 			e := &g.Edges[ei]
-			if en.clusterAfter(e.From, gi, c1, c2, gj) != en.clusterAfter(e.To, gi, c1, c2, gj) {
+			if movedCluster(owner, en.assign, e.From, gi, c1, c2, gj) != movedCluster(owner, en.assign, e.To, gi, c1, c2, gj) {
 				l += int64(p.m.LatBus)
 			}
 		}
@@ -397,17 +491,17 @@ func (en *engine) pathBound(lv *level, ii, gi, c2, gj int, floor int64) int64 {
 	return bound(en.xferAfter(lv, gi, c1, c2, gj))
 }
 
-// clusterAfter returns node v's cluster once group gi (in cluster c1) has
-// moved to c2 and, when gj ≥ 0, group gj to c1. It needs the level's
-// owner table (indexLevel).
-func (en *engine) clusterAfter(v, gi, c1, c2, gj int) int {
-	switch en.p.ar.owner[v] {
+// movedCluster returns node v's cluster once group gi (in cluster c1) has
+// moved to c2 and, when gj ≥ 0, group gj to c1, from the level's owner
+// table (indexLevel) and the current assignment.
+func movedCluster(owner, assign []int, v, gi, c1, c2, gj int) int {
+	switch owner[v] {
 	case gi:
 		return c2
 	case gj:
 		return c1
 	}
-	return en.assign[v]
+	return assign[v]
 }
 
 // xferAfter returns the interconnect II bound xfer would report after the
@@ -423,7 +517,7 @@ func (en *engine) xferAfter(lv *level, gi, c1, c2, gj int) int {
 		return 0
 	}
 	// after is a node's cluster once the candidate is applied.
-	after := func(v int) int { return en.clusterAfter(v, gi, c1, c2, gj) }
+	after := func(v int) int { return movedCluster(owner, en.assign, v, gi, c1, c2, gj) }
 	edges := p.boundary(gi)
 	if gj >= 0 {
 		// An interchange moves gj too. An edge between the two groups is

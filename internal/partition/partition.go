@@ -139,6 +139,25 @@ type Partitioner struct {
 	memoII, memoH int
 }
 
+// reference, when a test sets it, swaps parts of a Partition run for the
+// code they replaced (reference_test.go), so that tests can run both ways
+// and require identical results. A nil field keeps the package's own code.
+// Tests that set it must not run in parallel.
+var reference *referenceImpl
+
+// referenceImpl is the set of replaced implementations reference installs.
+type referenceImpl struct {
+	// pathBound screens one refinement candidate (engine.pathBound).
+	pathBound func(en *engine, lv *level, ii, gi, c2, gj int, floor int64) int64
+	// estimate is a refinement iteration's estimate of the current
+	// assignment; it leaves the forward times setPath walks.
+	estimate func(en *engine, ii int) estimate
+	// collapse builds a coarse level's edges (collapseLevel).
+	collapse func(p *Partitioner, lv *level)
+	// indexLevel builds a level's refinement tables.
+	indexLevel func(p *Partitioner, lv *level)
+}
+
 // New returns a partitioner for graph g on machine m with a private arena.
 // opts may be nil for the paper-faithful defaults.
 func New(g *ddg.Graph, m *machine.Config, opts *Options) *Partitioner {
@@ -556,7 +575,7 @@ func (p *Partitioner) fuse(cur *level, m *graph.Matching, li int) *level {
 			next.addGroup(cur.groups[v])
 		}
 	}
-	p.collapseEdgesInto(next)
+	p.collapseLevel(cur, next, remap)
 	return next
 }
 
@@ -577,14 +596,18 @@ func (p *Partitioner) forcePair(cur *level, li int) *level {
 	if a > b {
 		a, b = b, a
 	}
+	remap := resizeInts(p.ar.remap, len(cur.groups))
+	p.ar.remap = remap
 	next := p.freshLevel(li)
+	remap[a], remap[b] = 0, 0
 	next.addGroup(cur.groups[a], cur.groups[b])
 	for i := range cur.groups {
 		if i != a && i != b {
+			remap[i] = len(next.groups)
 			next.addGroup(cur.groups[i])
 		}
 	}
-	p.collapseEdgesInto(next)
+	p.collapseLevel(cur, next, remap)
 	return next
 }
 

@@ -106,37 +106,27 @@ func (p *Partitioner) evaluate(assign []int, ii int) estimate {
 // resIIFrom returns the per-cluster resource MII (heterogeneous unit mixes:
 // each cluster is bounded by its own units).
 func resIIFrom(m *machine.Config, counts [][isa.NumUnitKinds]int) int {
-	return resIIMoved(m, counts, 0, 0, [isa.NumUnitKinds]int{})
-}
-
-// resIIMoved is resIIFrom for counts with d's operations moved from
-// cluster c1 to cluster c2 (d may be negative: an interchange moves the
-// difference of the two groups' counts), without modifying counts.
-func resIIMoved(m *machine.Config, counts [][isa.NumUnitKinds]int, c1, c2 int, d [isa.NumUnitKinds]int) int {
 	resII := 1
-	for c := 0; c < m.Clusters; c++ {
-		for k := 0; k < isa.NumUnitKinds; k++ {
-			cnt := counts[c][k]
-			switch c {
-			case c1:
-				cnt -= d[k]
-			case c2:
-				cnt += d[k]
-			}
-			if cnt == 0 {
-				continue
-			}
-			units := m.UnitsIn(c, isa.UnitKind(k))
-			if units == 0 {
-				resII = 1 << 20 // unschedulable partition
-				continue
-			}
-			if v := ceilDiv(cnt, units); v > resII {
-				resII = v
-			}
+	for c := range counts {
+		for k, n := range counts[c] {
+			resII = max(resII, kindII(n, m.UnitsIn(c, isa.UnitKind(k))))
 		}
 	}
 	return resII
+}
+
+// kindII returns the resource II that n operations of one unit kind need
+// in a cluster with the given number of units of that kind: ⌈n/units⌉, 0
+// for no operations, and 1<<20 for operations in a cluster without such
+// units (an unschedulable partition).
+func kindII(n, units int) int {
+	switch {
+	case n == 0:
+		return 0
+	case units == 0:
+		return 1 << 20
+	}
+	return ceilDiv(n, units)
 }
 
 // spillPressureII estimates, per cluster, the steady-state register
@@ -191,11 +181,7 @@ func (p *Partitioner) spillPressureII(assign []int, times *ddg.Times, counts [][
 // clusterCountsInto fills the scratch per-cluster operation counts by unit
 // kind and returns them.
 func (p *Partitioner) clusterCountsInto(assign []int) [][isa.NumUnitKinds]int {
-	if cap(p.sc.counts) >= p.m.Clusters {
-		p.sc.counts = p.sc.counts[:p.m.Clusters]
-	} else {
-		p.sc.counts = make([][isa.NumUnitKinds]int, p.m.Clusters)
-	}
+	p.sc.counts = resizeKinds(p.sc.counts, p.m.Clusters)
 	counts := p.sc.counts
 	for i := range counts {
 		counts[i] = [isa.NumUnitKinds]int{}
@@ -219,11 +205,7 @@ func (p *Partitioner) groupCounts(members []int) [isa.NumUnitKinds]int {
 // (the groups of a level never change; only their cluster assignment does).
 func (p *Partitioner) groupCountsOf(lv *level) [][isa.NumUnitKinds]int {
 	if !lv.gcsOK {
-		if cap(lv.gcs) >= len(lv.groups) {
-			lv.gcs = lv.gcs[:len(lv.groups)]
-		} else {
-			lv.gcs = make([][isa.NumUnitKinds]int, len(lv.groups))
-		}
+		lv.gcs = resizeKinds(lv.gcs, len(lv.groups))
 		for gi, members := range lv.groups {
 			lv.gcs[gi] = p.groupCounts(members)
 		}
@@ -335,6 +317,11 @@ func (p *Partitioner) balance(lv *level, en *engine, ii int) int {
 // strictly worse than the incumbent's on the primary key — so the chosen
 // move sequence is identical to exhaustive full evaluation
 // (TestEngineMoveSequenceEquivalence pins this).
+//
+// Everything a candidate reads that only the applied move changes is
+// built once per iteration: the critical path, its cut latency and each
+// cluster's resource II (setPath), and each cluster's groups in ascending
+// order, the interchange partners of a group moving there.
 func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 	m := p.m
 	moves := 0
@@ -347,8 +334,10 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 	}
 
 	for moves < limit {
-		cur := en.estimate(ii)
+		cur := en.iterationEstimate(ii)
 		en.setPath()
+		p.clusterGroups(lv, en)
+		clHead, clList := p.ar.clHead, p.ar.clList
 		counts := en.counts
 		capII := cur.ii
 
@@ -398,7 +387,13 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 				if haveBest {
 					floor = min(floor, best.est.t+1)
 				}
-				if en.pathBound(lv, ii, mv.gi, mv.c2, mv.swapGj, floor) >= floor {
+				var lb int64
+				if h := reference; h != nil && h.pathBound != nil {
+					lb = h.pathBound(en, lv, ii, mv.gi, mv.c2, mv.swapGj, floor)
+				} else {
+					lb = en.pathBound(lv, ii, mv.gi, mv.c2, mv.swapGj, floor)
+				}
+				if lb >= floor {
 					p.screenLB++
 					return
 				}
@@ -469,11 +464,7 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 				// Single move does not fit: consider interchanges with
 				// groups currently in c2 (paper: "all feasible interchanges
 				// between pairs of nodes").
-				for gj := range lv.groups {
-					other := lv.groups[gj]
-					if gj == gi || len(other) == 0 || en.assign[other[0]] != c2 {
-						continue
-					}
+				for _, gj := range clList[clHead[c2]:clHead[c2+1]] {
 					oc := gcs[gj]
 					if !fits(gc, c2, oc) || !fitsReverse(p, counts, oc, gc, c1, capII) {
 						continue
@@ -483,7 +474,7 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 			}
 		}
 
-		if !haveBest || !best.est.better(cur) || best.est.t >= cur.t {
+		if !haveBest || best.est.t >= cur.t {
 			return moves // no strictly positive execution-time benefit
 		}
 		apply(best)
@@ -492,14 +483,51 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 	return moves
 }
 
+// clusterGroups lists each cluster's non-empty groups of level lv in
+// ascending order into the arena: cluster c's are
+// clList[clHead[c]:clHead[c+1]].
+func (p *Partitioner) clusterGroups(lv *level, en *engine) {
+	ar, c := p.ar, p.m.Clusters
+	head := zeroInts(ar.clHead, c+1)
+	n := 0
+	for _, members := range lv.groups {
+		if len(members) > 0 {
+			head[en.assign[members[0]]]++
+			n++
+		}
+	}
+	// head[k] becomes the end of cluster k's list; filling the lists
+	// backwards leaves it at the list's start and every list ascending.
+	for k := 1; k <= c; k++ {
+		head[k] += head[k-1]
+	}
+	list := resizeInts(ar.clList, n)
+	for gi := len(lv.groups) - 1; gi >= 0; gi-- {
+		if members := lv.groups[gi]; len(members) > 0 {
+			k := en.assign[members[0]]
+			head[k]--
+			list[head[k]] = gi
+		}
+	}
+	ar.clHead, ar.clList = head, list
+}
+
 // indexLevel builds the refinement tables of level lv into the arena:
 // owner maps each node to its group; group gi's boundary data edges (one
 // endpoint in gi, in edge order) are bndList[bndHead[gi]:bndHead[gi+1]];
 // and its neighbor groups, sorted ascending and deduplicated, are
-// nbrList[nbrHead[gi]:nbrHead[gi+1]]. Refinement builds them once per level
-// before balancing it; arena contents are unspecified, so every entry is
-// rewritten.
+// nbrList[nbrHead[gi]:nbrHead[gi+1]]. The neighbor rows come from the
+// level's collapsed edges, which coarsen leaves deduplicated with U < V and
+// sorted by (U, V): appending each edge to both its rows in that order
+// leaves every row ascending and unique (a row's partners below it come
+// from earlier edges than those above it). Refinement builds the tables
+// once per level before balancing it; arena contents are unspecified, so
+// every entry is rewritten.
 func (p *Partitioner) indexLevel(lv *level) {
+	if h := reference; h != nil && h.indexLevel != nil {
+		h.indexLevel(p, lv)
+		return
+	}
 	g, ar := p.g, p.ar
 	nG := len(lv.groups)
 	owner := resizeInts(ar.owner, g.N())
@@ -522,34 +550,34 @@ func (p *Partitioner) indexLevel(lv *level) {
 	}
 	bnd := resizeInts(ar.bndList, head[nG])
 	ar.bndList = bnd
-	nbr := resizeInts(ar.nbrList, head[nG])
 	fill := zeroInts(ar.nbrFill, nG)
 	ar.nbrFill = fill
 	for ei, e := range g.Edges {
 		if a, b := owner[e.From], owner[e.To]; e.Kind == ddg.Data && a != b {
-			bnd[head[a]+fill[a]], nbr[head[a]+fill[a]] = ei, b
+			bnd[head[a]+fill[a]] = ei
 			fill[a]++
-			bnd[head[b]+fill[b]], nbr[head[b]+fill[b]] = ei, a
+			bnd[head[b]+fill[b]] = ei
 			fill[b]++
 		}
 	}
-	// Sort and deduplicate each neighbor row in place, compacting nbr
-	// (rows stay contiguous, so each row's end is the next row's start).
-	nHead := resizeInts(ar.nbrHead, nG+1)
-	w := 0
-	for gi := 0; gi < nG; gi++ {
-		row := nbr[head[gi]:head[gi+1]]
-		sortInts(row)
-		nHead[gi] = w
-		for i, v := range row {
-			if i == 0 || v != nbr[w-1] {
-				nbr[w] = v
-				w++
-			}
-		}
+
+	nHead := zeroInts(ar.nbrHead, nG+1)
+	for _, e := range lv.edges {
+		nHead[e.U+1]++
+		nHead[e.V+1]++
 	}
-	nHead[nG] = w
-	ar.nbrHead, ar.nbrList = nHead, nbr[:w]
+	for i := 0; i < nG; i++ {
+		nHead[i+1] += nHead[i]
+	}
+	nbr := resizeInts(ar.nbrList, nHead[nG])
+	clear(fill)
+	for _, e := range lv.edges {
+		nbr[nHead[e.U]+fill[e.U]] = e.V
+		fill[e.U]++
+		nbr[nHead[e.V]+fill[e.V]] = e.U
+		fill[e.V]++
+	}
+	ar.nbrHead, ar.nbrList = nHead, nbr
 }
 
 // boundary returns group gi's boundary data edges on the level indexLevel
@@ -604,6 +632,13 @@ func zeroInts(s []int, n int) []int {
 	s = resizeInts(s, n)
 	clear(s)
 	return s
+}
+
+func resizeKinds(s [][isa.NumUnitKinds]int, n int) [][isa.NumUnitKinds]int {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([][isa.NumUnitKinds]int, n)
 }
 
 func resizeBools(s []bool, n int) []bool {

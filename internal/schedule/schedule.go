@@ -21,8 +21,10 @@ const (
 	// Partition").
 	ModeFixed
 	// ModeURACAM has no precomputed partition: every node considers all
-	// clusters and the figure of merit picks one (the URACAM baseline,
-	// which is why it is the slowest scheme — Table 2).
+	// clusters and the figure of merit picks one (the URACAM baseline).
+	// The paper reports URACAM 2–7× slower than GP (Table 2). Here the
+	// two schemes' scheduling times stay within about 0.8–1.4× of each
+	// other, GP's including its partitioning (README, Table 2).
 	ModeURACAM
 )
 

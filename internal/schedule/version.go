@@ -63,4 +63,14 @@ package schedule
 //	      without a closure, and the SMS groups are cached per loop on the
 //	      graph; every digest byte-identical to gp/9, bumped per the rule
 //	      above
-const AlgoVersion = "gp/10"
+//	gp/11 a partition pays only for what changes: refinement screens a
+//	      candidate that moves neither group owning an endpoint of the
+//	      critical path's data edges without walking the path, derives its
+//	      resource II from per-cluster IIs tabulated once per iteration,
+//	      scans interchange partners from per-cluster group lists and drops
+//	      the iteration's ALAP pass; coarsening collapses each level's edges
+//	      from the level below and takes neighbor rows from them, the greedy
+//	      matching sorts packed integer keys, and 2-exchange visits only
+//	      adjacent matched edges; every move, screening tally and digest is
+//	      identical to gp/10, bumped per the rule above
+const AlgoVersion = "gp/11"
