@@ -29,7 +29,10 @@ func TestQuickstartFlow(t *testing.T) {
 	if res.Schedule.II < MII(g, m) {
 		t.Errorf("II %d below MII %d", res.Schedule.II, MII(g, m))
 	}
-	if err := res.Schedule.Validate(g, m); err != nil {
+	if res.ListFallback {
+		t.Error("daxpy fell back to a list schedule")
+	}
+	if err := Verify(g, m, res.Schedule); err != nil {
 		t.Error(err)
 	}
 	if res.IPC(g) <= 0 {
@@ -95,7 +98,10 @@ func TestFacadeCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Schedule.Validate(g, Unified(64)); err != nil {
+	if res.ListFallback {
+		t.Error("corpus loop fell back to a list schedule")
+	}
+	if err := Verify(g, Unified(64), res.Schedule); err != nil {
 		t.Error(err)
 	}
 }

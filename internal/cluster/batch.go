@@ -116,7 +116,7 @@ func (f *batchFanOut) run() string {
 		if err := f.items[i].Err; err != nil {
 			// A loop that fails admission renders locally, burning no
 			// worker.
-			f.loops[i].elem, f.loops[i].done = server.ErrorElement(server.ErrCodeBadRequest, err.Error()), true
+			f.loops[i].elem, f.loops[i].done = server.MarshalError(server.ErrCodeBadRequest, err.Error()), true
 			continue
 		}
 		pending = append(pending, i)
@@ -294,14 +294,14 @@ func (f *batchFanOut) exhausted(i int) {
 	case l.lastErr == nil:
 		f.c.metrics.noCapacity.Add(1)
 		outcome = "no-workers"
-		l.elem = server.ErrorElement(server.ErrCodeNoWorkers, "no ready workers")
+		l.elem = server.MarshalError(server.ErrCodeNoWorkers, "no ready workers")
 	case !l.failedOver:
 		f.c.metrics.noCapacity.Add(1)
 		outcome = "saturated"
-		l.elem = server.ErrorElement(server.ErrCodeSaturated, "every worker is saturated, retry later")
+		l.elem = server.MarshalError(server.ErrCodeSaturated, "every worker is saturated, retry later")
 	default:
 		outcome = "error"
-		l.elem = server.ErrorElement(server.ErrCodeUpstreamFailed, fmt.Sprintf("all workers failed, last: %v", l.lastErr))
+		l.elem = server.MarshalError(server.ErrCodeUpstreamFailed, fmt.Sprintf("all workers failed, last: %v", l.lastErr))
 	}
 	l.done = true
 	f.c.metrics.observe("batch", outcome, time.Since(f.start))

@@ -252,8 +252,8 @@ func TestBatchInternalElementFailsOverAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantElems[1] = server.ErrorElement(server.ErrCodeUpstreamFailed, fmt.Sprintf("all workers failed, last: worker %s answered 500: %s",
-		other, server.ErrorElement(server.ErrCodeInternal, "schedule: injected failure")))
+	wantElems[1] = server.MarshalError(server.ErrCodeUpstreamFailed, fmt.Sprintf("all workers failed, last: worker %s answered 500: %s",
+		other, server.MarshalError(server.ErrCodeInternal, "schedule: injected failure")))
 	for i := range names {
 		if !bytes.Equal(gotElems[i], wantElems[i]) {
 			t.Errorf("loop %d element:\n%s\nwant\n%s", i, gotElems[i], wantElems[i])

@@ -122,7 +122,7 @@ func (h *chaosHandler) serveFailingLoop(w http.ResponseWriter, r *http.Request, 
 	}
 	for i, e := range elems {
 		if bytes.Contains(e, []byte(`"loop": "`+name+`"`)) {
-			elems[i] = server.ErrorElement(server.ErrCodeInternal, "schedule: injected failure")
+			elems[i] = server.MarshalError(server.ErrCodeInternal, "schedule: injected failure")
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")

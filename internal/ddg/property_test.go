@@ -139,19 +139,3 @@ func TestPropSCCPartition(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: unrolling preserves validity and scales node count.
-func TestPropUnrollValid(t *testing.T) {
-	f := func(seed int64, fRaw uint8) bool {
-		g := genGraph(seed, 12)
-		factor := 1 + int(fRaw%4)
-		u, err := g.Unroll(factor)
-		if err != nil {
-			return false
-		}
-		return u.N() == factor*g.N() && len(u.Edges) == factor*len(g.Edges) && u.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}

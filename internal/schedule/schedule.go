@@ -550,35 +550,3 @@ func (st *state) finish(transforms int) *Schedule {
 	}
 	return s
 }
-
-// Validate cross-checks a finished schedule against the dependence graph:
-// every edge constraint must hold, including bus latency on cut data edges.
-// Only tests call it; served schedules go through Verify, which also
-// checks resources and routing.
-func (s *Schedule) Validate(g *ddg.Graph, m *machine.Config) error {
-	for i, e := range g.Edges {
-		if e.From == e.To && e.Dist > 0 {
-			if e.Lat > s.II*e.Dist {
-				return fmt.Errorf("schedule: self recurrence %d violated: lat %d > II·dist %d", i, e.Lat, s.II*e.Dist)
-			}
-			continue
-		}
-		tf, tt := s.Time[e.From], s.Time[e.To]
-		slack := tt + s.II*e.Dist - tf - e.Lat
-		if e.Kind == ddg.Data && s.Cluster[e.From] != s.Cluster[e.To] {
-			// The transfer path adds at least the bus latency (or the
-			// store+load path, which is at least as long).
-			slack -= m.LatBus
-		}
-		if slack < 0 {
-			return fmt.Errorf("schedule: edge %d (%d→%d lat %d dist %d) violated: t=%d→%d II=%d",
-				i, e.From, e.To, e.Lat, e.Dist, tf, tt, s.II)
-		}
-	}
-	for c, ml := range s.MaxLive {
-		if ml > m.RegsIn(c) {
-			return fmt.Errorf("schedule: cluster %d MaxLive %d exceeds %d registers", c, ml, m.RegsIn(c))
-		}
-	}
-	return nil
-}

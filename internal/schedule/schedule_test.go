@@ -31,7 +31,7 @@ func mustSchedule(t *testing.T, g *ddg.Graph, m *machine.Config, ii int, opts *O
 	if fail != nil {
 		t.Fatalf("TrySchedule(II=%d): %v", ii, fail)
 	}
-	if err := s.Validate(g, m); err != nil {
+	if err := Verify(g, m, s); err != nil {
 		t.Fatalf("invalid schedule: %v", err)
 	}
 	return s
@@ -141,7 +141,7 @@ func TestGPModeMayOverride(t *testing.T) {
 	if fail != nil {
 		t.Fatalf("GP mode failed: %v", fail)
 	}
-	if err := s.Validate(g, m); err != nil {
+	if err := Verify(g, m, s); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
@@ -340,7 +340,7 @@ func TestRandomLoopsScheduleAndValidate(t *testing.T) {
 				}
 				t.Fatalf("trial %d mode %v: no II ≤ MII+64 schedules", trial, mode)
 			}
-			if err := s.Validate(g, m); err != nil {
+			if err := Verify(g, m, s); err != nil {
 				t.Fatalf("trial %d mode %v machine %v: %v\ntimes=%v\nclusters=%v",
 					trial, mode, m, err, s.Time, s.Cluster)
 			}

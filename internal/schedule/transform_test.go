@@ -1,7 +1,6 @@
 package schedule
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/ddg"
@@ -176,32 +175,4 @@ func TestEjectionRestoresState(t *testing.T) {
 		t.Errorf("invariants after unschedule: %v", err)
 	}
 	_ = g
-}
-
-func TestFormatKernel(t *testing.T) {
-	g := ddg.New("fmt", 50)
-	a := g.AddNode(isa.Load, "ld")
-	b := g.AddNode(isa.FPAdd, "add")
-	g.AddEdge(ddg.Edge{From: a, To: b, Lat: 2, Kind: ddg.Data})
-	m := machine.MustClustered(2, 32, 1, 1)
-	s, fail := TrySchedule(g, m, 2, &Options{Mode: ModeURACAM})
-	if fail != nil {
-		t.Fatal(fail)
-	}
-	out := FormatKernel(s, g, m)
-	for _, want := range []string{"kernel II=2", "slot", "cluster 0", "cluster 1", "ld", "add"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("kernel picture missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFormatKernelShowsTransfers(t *testing.T) {
-	m := machine.MustClustered(2, 32, 1, 1)
-	st, g := forceCross(t, m, 4)
-	s := st.finish(0)
-	out := FormatKernel(s, g, m)
-	if !strings.Contains(out, "xfer(n0)") {
-		t.Errorf("kernel picture missing bus transfer:\n%s", out)
-	}
 }

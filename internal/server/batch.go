@@ -57,24 +57,17 @@ type BatchLoop struct {
 //	BatchOpen elem1 BatchSep elem2 ... BatchSep elemN BatchClose
 //
 // where each element is a singleton response body with its trailing newline
-// trimmed, or an ErrorElement. The result is valid JSON. Every element is a
-// JSON object that opens with '{': an ErrorElement is compact, and a
-// singleton body is indented, so each of its lines after the first starts
-// with an indent or is its closing '}'. BatchSep followed by '{' therefore
-// occurs only between elements, which is how SplitBatch finds them.
+// trimmed, or a MarshalError envelope. The result is valid JSON. Every
+// element is a JSON object that opens with '{': an error envelope is
+// compact, and a singleton body is indented, so each of its lines after the
+// first starts with an indent or is its closing '}'. BatchSep followed by
+// '{' therefore occurs only between elements, which is how SplitBatch finds
+// them.
 const (
 	BatchOpen  = "[\n"
 	BatchSep   = ",\n"
 	BatchClose = "\n]\n"
 )
-
-// ErrorElement renders one failed loop's batch element in the unified
-// error envelope. The coordinator uses it for loops it cannot forward,
-// producing the same bytes the worker batch path would for the same code
-// and message.
-func ErrorElement(code, msg string) []byte {
-	return MarshalError(code, msg)
-}
 
 // Batch admission: per-loop limits are the singleton ones (each loop is
 // admitted exactly as its singleton request would be); on top, the loop
@@ -116,11 +109,9 @@ type batchItem struct {
 //
 // The shared machine and scheme are resolved once, and each loop is parsed
 // from the envelope's own fields; every item's job and error are those
-// parseScheduleRequestCached gives the loop's singleton request. The
-// machine cache is consulted once: the first loop that parses reports that
-// lookup and every later one a hit, as when each loop resolved the machine
-// in turn. The decoded envelope is returned too, for AppendSubBatch.
-func parseBatch(body []byte, mc *machineCache) (*batchRequestWire, []batchItem, error) {
+// parseScheduleRequest gives the loop's singleton request. The decoded
+// envelope is returned too, for AppendSubBatch.
+func parseBatch(body []byte) (*batchRequestWire, []batchItem, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	req := new(batchRequestWire)
@@ -134,19 +125,13 @@ func parseBatch(body []byte, mc *machineCache) (*batchRequestWire, []batchItem, 
 		return nil, nil, fmt.Errorf("batch has %d loops, limit %d", len(req.Loops), maxBatchLoops)
 	}
 
-	m, mcState, merr := requestMachine(req.Machine, req.Clusters, req.Regs, req.NBus, req.LatBus, mc)
+	m, merr := requestMachine(req.Machine, req.Clusters, req.Regs, req.NBus, req.LatBus)
 	alg, scheme, serr := parseScheme(req.Scheme)
 	items := make([]batchItem, len(req.Loops))
 	nodes, edges := 0, 0
 	for i, l := range req.Loops {
 		g, err := parseLoop(l.Loop, l.LoopText)
-		state := mcState
 		if err == nil {
-			// A loop that parses is where a singleton resolves its
-			// machine; every later one would find it in the cache.
-			if mcState != "" {
-				mcState = "hit"
-			}
 			err = merr
 		}
 		if err == nil {
@@ -159,7 +144,7 @@ func parseBatch(body []byte, mc *machineCache) (*batchRequestWire, []batchItem, 
 			items[i].err = err
 			continue
 		}
-		items[i].job = &scheduleJob{g: g, m: m, alg: alg, scheme: scheme, mcState: state}
+		items[i].job = &scheduleJob{g: g, m: m, alg: alg, scheme: scheme}
 		nodes += g.N()
 		edges += len(g.Edges)
 	}
@@ -174,8 +159,9 @@ func parseBatch(body []byte, mc *machineCache) (*batchRequestWire, []batchItem, 
 
 // BatchItem is one loop of a batch envelope as the cluster coordinator sees
 // it: the placement key to route it by, or the loop's own admission error
-// when it has one (the coordinator renders ErrorElement in place instead of
-// consuming a worker). AppendSubBatch re-encodes forwarded loops.
+// when it has one (the coordinator renders its MarshalError element in
+// place instead of consuming a worker). AppendSubBatch re-encodes forwarded
+// loops.
 type BatchItem struct {
 	Key string // content-address key at epoch 0; empty when Err != nil
 	Err error
@@ -190,7 +176,7 @@ type BatchItem struct {
 // zero — so rendezvous placement of a batch's loops matches the placement
 // of the equivalent singleton requests.
 func BatchItems(body []byte) ([]BatchItem, error) {
-	req, items, err := parseBatch(body, nil)
+	req, items, err := parseBatch(body)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +306,7 @@ func SplitBatch(reply []byte, n int) ([][]byte, error) {
 // elemBoundary is where one element ends and the next begins.
 var elemBoundary = []byte(BatchSep + "{")
 
-// internalElementPrefix opens every ErrorElement with code ErrCodeInternal.
+// internalElementPrefix opens every error element with code ErrCodeInternal.
 var internalElementPrefix = []byte(`{"error":{"code":"` + ErrCodeInternal + `",`)
 
 // InternalElement reports whether a batch element is an ErrCodeInternal
@@ -366,7 +352,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	parse := time.Now()
-	_, items, err := parseBatch(body, s.machines)
+	_, items, err := parseBatch(body)
 	if err != nil {
 		s.finishTrace(w, tr, "bad-request")
 		s.writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
@@ -374,17 +360,6 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.PhaseNote("parse", fmt.Sprintf("loops=%d", len(items)), time.Since(parse))
 	s.metrics.batchLoops.Add(int64(len(items)))
-	for i := range items {
-		if items[i].job == nil {
-			continue
-		}
-		switch items[i].job.mcState {
-		case "hit":
-			s.metrics.machineCacheHits.Add(1)
-		case "miss":
-			s.metrics.machineCacheMisses.Add(1)
-		}
-	}
 
 	// Snapshot the epoch once for the whole batch: every element keys with
 	// it and the assembled response is inserted under it, so a flush that
@@ -531,7 +506,7 @@ func (s *Server) cacheBatch(bodyHash [sha256.Size]byte, out []byte, epoch uint64
 // the envelope's trace, accumulating each computed loop's scheduler phases.
 func (s *Server) batchElement(it *batchItem, key string, epoch uint64, tr *obs.Trace) ([]byte, bool) {
 	if it.err != nil {
-		return ErrorElement(ErrCodeBadRequest, it.err.Error()), false
+		return MarshalError(ErrCodeBadRequest, it.err.Error()), false
 	}
 	if cached, ok := s.cache.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
@@ -545,7 +520,7 @@ func (s *Server) batchElement(it *batchItem, key string, epoch uint64, tr *obs.T
 		if errors.As(err, &cerr) {
 			code = ErrCodeBadRequest
 		}
-		return ErrorElement(code, err.Error()), false
+		return MarshalError(code, err.Error()), false
 	}
 	return trimElement(out), true
 }

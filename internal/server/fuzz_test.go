@@ -116,47 +116,3 @@ func checkWorkBound(t *testing.T, job *scheduleJob) {
 		t.Fatalf("modulo II %d above SL0 %d", res.Schedule.II, sl0)
 	}
 }
-
-// FuzzBatchRequest fuzzes the /v1/schedule/batch envelope decoder: arbitrary
-// bytes must never panic, and any envelope it accepts must give every loop
-// the same verdict, error text and key at the worker (which parses with a
-// machine cache) and at the coordinator (which parses without one) — the
-// equivalence the distributed batch's byte-identity rests on.
-func FuzzBatchRequest(f *testing.F) {
-	f.Add([]byte(`{"clusters":2,"loops":[{"loop_text":"loop t 10\nnode 0 IntALU\n"}]}`))
-	f.Add([]byte(`{"machine":"machine m\ncluster 1 1 1 8\n","scheme":"Fixed","loops":[{"loop":{"name":"x","niter":5,"nodes":[{"op":"Load"}]}},{"loop_text":"loop broken"}]}`))
-	f.Add([]byte(`{"clusters":2,"loops":[]}`))
-	f.Add([]byte(`{"loops":1}`))
-	f.Add([]byte(`{{{`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		mc := newMachineCache()
-		_, items, err := parseBatch(data, mc)
-		if err != nil {
-			return
-		}
-		pub, err := BatchItems(data)
-		if err != nil {
-			t.Fatalf("worker accepted an envelope BatchItems rejects: %v", err)
-		}
-		if len(pub) != len(items) {
-			t.Fatalf("item counts diverge: %d vs %d", len(items), len(pub))
-		}
-		salt := keySalt(schedule.AlgoVersion, 0)
-		for i := range items {
-			if (items[i].err == nil) != (pub[i].Err == nil) {
-				t.Fatalf("item %d verdicts diverge: %v vs %v", i, items[i].err, pub[i].Err)
-			}
-			if items[i].err != nil {
-				if items[i].err.Error() != pub[i].Err.Error() {
-					t.Fatalf("item %d error strings diverge (batch elements would too): %q vs %q",
-						i, items[i].err, pub[i].Err)
-				}
-				continue
-			}
-			if k := items[i].job.cacheKey(salt); k != pub[i].Key {
-				t.Fatalf("item %d keys diverge: %s vs %s", i, k, pub[i].Key)
-			}
-		}
-	})
-}

@@ -30,9 +30,6 @@ type metrics struct {
 	verifyFailures atomic.Int64 // schedules the Verify oracle rejected
 	cacheFlushes   atomic.Int64 // cache wipes (epoch bumps)
 
-	machineCacheHits   atomic.Int64 // parsed-machine cache hits
-	machineCacheMisses atomic.Int64
-
 	// Scheduler-internal work counters, summed over every computed
 	// schedule: modulo-scheduling attempts (II values tried), the failed
 	// ones by the reason that ended each, loops that fell back to list
@@ -96,8 +93,6 @@ func (m *metrics) render(w io.Writer, queueDepth, cacheEntries int, epoch uint64
 	fmt.Fprintf(w, "gpserved_cache_hits_total %d\n", m.cacheHits.Load())
 	fmt.Fprintf(w, "gpserved_cache_misses_total %d\n", m.cacheMisses.Load())
 	fmt.Fprintf(w, "gpserved_cache_body_hits_total %d\n", m.bodyHits.Load())
-	fmt.Fprintf(w, "gpserved_machine_cache_hits_total %d\n", m.machineCacheHits.Load())
-	fmt.Fprintf(w, "gpserved_machine_cache_misses_total %d\n", m.machineCacheMisses.Load())
 	fmt.Fprintf(w, "gpserved_cache_entries %d\n", cacheEntries)
 	fmt.Fprintf(w, "gpserved_cache_flushes_total %d\n", m.cacheFlushes.Load())
 	fmt.Fprintf(w, "gpserved_algo_epoch %d\n", epoch)

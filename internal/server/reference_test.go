@@ -1,11 +1,11 @@
 package server
 
-// The request edge that parseScheduleRequestCached, parseBatch and cacheKey
-// replaced, kept verbatim as a reference: every loop re-decoded from its
-// synthesized singleton body with its own machine parse, and the key
-// streamed through fmt into the hash. The fuzz targets below require the
-// same keys, verdicts and error texts from ScheduleCacheKey and BatchItems,
-// and the same jobs and machine-cache outcomes from parseBatch.
+// The request edge that parseScheduleRequest, parseBatch and cacheKey
+// replaced, kept as a reference: every loop re-decoded from its synthesized
+// singleton body with its own machine parse, and the key streamed through
+// fmt into the hash. The fuzz targets below require the same keys, verdicts
+// and error texts from ScheduleCacheKey and BatchItems, and the same jobs
+// from parseScheduleRequest and parseBatch.
 
 import (
 	"bytes"
@@ -24,8 +24,8 @@ import (
 	"repro/internal/schedule"
 )
 
-// refParseScheduleRequest is the reference parseScheduleRequestCached.
-func refParseScheduleRequest(body []byte, mc *machineCache) (*scheduleJob, error) {
+// refParseScheduleRequest is the reference parseScheduleRequest.
+func refParseScheduleRequest(body []byte) (*scheduleJob, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var req scheduleRequestWire
@@ -62,16 +62,14 @@ func refParseScheduleRequest(body []byte, mc *machineCache) (*scheduleJob, error
 	}
 
 	var m *machine.Config
-	var mcState string
 	haveMachine := rawPresent(req.Machine)
 	switch {
 	case haveMachine && (req.Clusters != 0 || req.Regs != 0 || req.NBus != 0 || req.LatBus != 0):
 		return nil, fmt.Errorf("give either machine or the clusters/regs/nbus/latbus grid, not both")
 	case haveMachine:
-		var err error
-		m, mcState, err = resolveMachine(req.Machine, mc)
-		if err != nil {
-			return nil, err
+		m = new(machine.Config)
+		if err := json.Unmarshal(req.Machine, m); err != nil {
+			return nil, fmt.Errorf("bad machine: %v", err)
 		}
 	case req.Clusters == 1:
 		m = machine.NewUnified(defaultRegs(req.Regs))
@@ -84,18 +82,14 @@ func refParseScheduleRequest(body []byte, mc *machineCache) (*scheduleJob, error
 	default:
 		return nil, fmt.Errorf("missing machine: give machine (description text) or clusters")
 	}
-	if mcState == "" {
-		// The grid constructors check divisibility, not positivity (e.g. -8
-		// registers split evenly); Parse validates internally, the grid
-		// paths must too, so nothing invalid gets past admission. (The
-		// machine-text path validated inside resolveMachine — or skipped it
-		// on a cache hit, where the cached config already passed.)
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
-		if err := checkServedMachine(m); err != nil {
-			return nil, err
-		}
+	// The grid constructors check divisibility, not positivity (e.g. -8
+	// registers split evenly); Parse validates internally, the grid paths
+	// must too, so nothing invalid gets past admission.
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkServedMachine(m); err != nil {
+		return nil, err
 	}
 
 	alg, scheme, err := parseScheme(req.Scheme)
@@ -135,7 +129,7 @@ func refParseScheduleRequest(body []byte, mc *machineCache) (*scheduleJob, error
 			return nil, fmt.Errorf("machine %s has no %v units but the loop needs %d", m.Name, isa.UnitKind(k), counts[k])
 		}
 	}
-	return &scheduleJob{g: g, m: m, alg: alg, scheme: scheme, mcState: mcState}, nil
+	return &scheduleJob{g: g, m: m, alg: alg, scheme: scheme}, nil
 }
 
 // refCacheKey is the reference cacheKey.
@@ -153,7 +147,7 @@ func refCacheKey(j *scheduleJob, salt string) string {
 
 // refScheduleCacheKey is the reference ScheduleCacheKey.
 func refScheduleCacheKey(body []byte) (string, error) {
-	job, err := refParseScheduleRequest(body, nil)
+	job, err := refParseScheduleRequest(body)
 	if err != nil {
 		return "", err
 	}
@@ -161,7 +155,7 @@ func refScheduleCacheKey(body []byte) (string, error) {
 }
 
 // refParseBatch is the reference parseBatch.
-func refParseBatch(body []byte, mc *machineCache) ([]batchItem, error) {
+func refParseBatch(body []byte) ([]batchItem, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var req batchRequestWire
@@ -192,7 +186,7 @@ func refParseBatch(body []byte, mc *machineCache) ([]batchItem, error) {
 		if err != nil {
 			return nil, fmt.Errorf("loops[%d]: %v", i, err)
 		}
-		items[i].job, items[i].err = refParseScheduleRequest(b, mc)
+		items[i].job, items[i].err = refParseScheduleRequest(b)
 		if j := items[i].job; j != nil {
 			nodes += j.g.N()
 			edges += len(j.g.Edges)
@@ -209,7 +203,7 @@ func refParseBatch(body []byte, mc *machineCache) ([]batchItem, error) {
 
 // refBatchItems is the reference BatchItems.
 func refBatchItems(body []byte) ([]BatchItem, error) {
-	items, err := refParseBatch(body, nil)
+	items, err := refParseBatch(body)
 	if err != nil {
 		return nil, err
 	}
@@ -232,14 +226,14 @@ func errText(err error) string {
 }
 
 // sameJob reports whether two parses admitted the same job: the loop, the
-// machine, the scheme and the machine-cache outcome.
+// machine and the scheme.
 func sameJob(a, b *scheduleJob) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
 	return a.g.Name == b.g.Name && a.g.Niter == b.g.Niter &&
 		reflect.DeepEqual(a.g.Nodes, b.g.Nodes) && reflect.DeepEqual(a.g.Edges, b.g.Edges) &&
-		reflect.DeepEqual(a.m, b.m) && a.alg == b.alg && a.scheme == b.scheme && a.mcState == b.mcState
+		reflect.DeepEqual(a.m, b.m) && a.alg == b.alg && a.scheme == b.scheme
 }
 
 // edgeSeedLoops are loop halves of a request body for the edge fuzz seeds:
@@ -260,7 +254,8 @@ var edgeSeedLoops = []string{
 }
 
 // edgeSeedMachines are machine halves of a request body for the edge fuzz
-// seeds: grid, text, and invalid in each way machine resolution reports.
+// seeds: grid, text, and invalid in each way machine resolution reports,
+// including a text that parses but exceeds the served size limits.
 var edgeSeedMachines = []string{
 	`"clusters":2`,
 	`"clusters":4,"regs":64,"nbus":1,"latbus":1`,
@@ -271,14 +266,14 @@ var edgeSeedMachines = []string{
 	`"machine":"machine h\ncluster 3 1 2 24\ncluster 1 3 2 40\ninterconnect bus 1 1 blocking\n","scheme":"uracam"`,
 	`"machine":"machine m\ncluster 1 1 1 8\n","clusters":2`,
 	`"machine":"machine x\ncluster 1 1 1\n"`,
+	`"machine":"machine w\ncluster 65 1 1 8\n"`,
 	`"machine":7`,
 	`"scheme":"GP"`,
 }
 
 // FuzzScheduleCacheKeyMatchesReference runs ScheduleCacheKey and the
-// reference on one body: the same key or the same error text. The worker's
-// cached parse also admits the same job as the reference's, with the same
-// machine-cache outcome.
+// reference on one body: the same key or the same error text. The parse
+// both daemons run also admits the same job as the reference's.
 func FuzzScheduleCacheKeyMatchesReference(f *testing.F) {
 	single, _ := edgeBodies(f)
 	f.Add(single)
@@ -300,30 +295,32 @@ func FuzzScheduleCacheKeyMatchesReference(f *testing.F) {
 		if key != want || errText(err) != errText(werr) {
 			t.Fatalf("ScheduleCacheKey: %q, %v\nreference:        %q, %v", key, err, want, werr)
 		}
-		job, err := parseScheduleRequestCached(data, newMachineCache())
-		ref, werr := refParseScheduleRequest(data, newMachineCache())
+		job, err := parseScheduleRequest(data)
+		ref, werr := refParseScheduleRequest(data)
 		if errText(err) != errText(werr) || !sameJob(job, ref) {
-			t.Fatalf("cached parse: %+v, %v\nreference: %+v, %v", job, err, ref, werr)
+			t.Fatalf("parse: %+v, %v\nreference: %+v, %v", job, err, ref, werr)
 		}
 	})
 }
 
 // FuzzBatchItemsMatchesReference runs BatchItems and the reference on one
 // envelope: the same envelope error text, or per loop the same key and
-// error text. The worker's parseBatch with a machine cache also gives each
-// loop the reference's job and machine-cache outcome. Then the two halves
+// error text. The worker's parseBatch also gives each loop the reference's
+// job. Then the two halves
 // of the coordinator's fan-out: every sub-batch AppendSubBatch encodes
 // admits its loops with the keys and errors they have in the whole
 // envelope, and SplitBatch returns exactly the elements a worker framed.
 func FuzzBatchItemsMatchesReference(f *testing.F) {
 	_, batch := edgeBodies(f)
 	f.Add(batch)
+	f.Add([]byte(`{"clusters":2,"loops":[{"loop_text":"loop t 10\nnode 0 IntALU\n"}]}`))
+	f.Add([]byte(`{"machine":"machine m\ncluster 1 1 1 8\n","scheme":"Fixed","loops":[{"loop":{"name":"x","niter":5,"nodes":[{"op":"Load"}]}},{"loop_text":"loop broken"}]}`))
 	f.Add([]byte(`{"clusters":2,"loops":[]}`))
 	f.Add([]byte(`{"loops":1}`))
 	f.Add([]byte(`{{{`))
 	f.Add([]byte(`{"clusters":2,"loops":[null,{"loop_text":"loop t 1\nnode 0 Load\n"}]}`))
-	// The first loop parses but fails admission (no FP unit): the second is
-	// still the machine cache's second lookup, a hit.
+	// The first loop parses but fails admission (no FP unit); the second,
+	// on the same machine, is still admitted.
 	f.Add([]byte(`{"machine":"machine m\ncluster 1 0 1 8\n","loops":[{` + edgeSeedLoops[4] + `},{` + edgeSeedLoops[0] + `}]}`))
 	// Duplicate and case-folded keys, and escapes the encoder must redo.
 	f.Add([]byte(`{"clusters":2,"Scheme":"gp","loops":[{"loop_text":"x","LOOP_TEXT":"loop \"q\\\u0001\" 3\r\nnode 0 Load\n"},{"loop":{"name":"a<b>","niter":2,"nodes":[{"op":"Load"}]}}]}`))
@@ -345,8 +342,8 @@ func FuzzBatchItemsMatchesReference(f *testing.F) {
 				t.Fatalf("loop %d: %q %v\nreference: %q %v", i, items[i].Key, items[i].Err, want[i].Key, want[i].Err)
 			}
 		}
-		_, got, err := parseBatch(data, newMachineCache())
-		ref, werr := refParseBatch(data, newMachineCache())
+		_, got, err := parseBatch(data)
+		ref, werr := refParseBatch(data)
 		if errText(err) != errText(werr) || len(got) != len(ref) {
 			t.Fatalf("parseBatch: %d items, %v\nreference:  %d items, %v", len(got), err, len(ref), werr)
 		}
@@ -399,7 +396,7 @@ func checkSubBatch(t *testing.T, items []BatchItem, idx []int) {
 	if err != nil || len(subItems) != len(idx) {
 		t.Fatalf("sub-batch %v: %d items, %v\n%s", idx, len(subItems), err, sub)
 	}
-	_, worker, err := parseBatch(sub, newMachineCache())
+	_, worker, err := parseBatch(sub)
 	if err != nil {
 		t.Fatalf("worker rejects sub-batch %v: %v", idx, err)
 	}
@@ -433,9 +430,9 @@ func checkSplitRoundTrip(t *testing.T, items []BatchItem, data []byte) {
 	var internal []bool
 	for i, it := range items {
 		if it.Err != nil {
-			elems, internal = append(elems, ErrorElement(ErrCodeBadRequest, it.Err.Error())), append(internal, false)
+			elems, internal = append(elems, MarshalError(ErrCodeBadRequest, it.Err.Error())), append(internal, false)
 		}
-		elems, internal = append(elems, ErrorElement(ErrCodeInternal, string(data[:i%len(data)]))), append(internal, true)
+		elems, internal = append(elems, MarshalError(ErrCodeInternal, string(data[:i%len(data)]))), append(internal, true)
 		var body bytes.Buffer
 		resp := &ScheduleResponse{Loop: string(data), Machine: it.Key, Time: []int{i, len(data)}, MaxLive: []int{}, Verified: true}
 		if err := encodeScheduleResponse(&body, resp); err != nil {

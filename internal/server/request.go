@@ -3,10 +3,14 @@
 //
 // Endpoints:
 //
-//	POST /v1/schedule  one loop + machine + scheme → schedule, IPC, verdict
-//	POST /v1/sweep     machines × corpora × schemes sweep, streamed as CSV
-//	GET  /healthz      liveness
-//	GET  /metrics      Prometheus-style counters and latency quantiles
+//	POST /v1/schedule          one loop + machine + scheme → schedule, IPC, verdict
+//	POST /v1/schedule/batch    many loops on one machine → one element per loop
+//	POST /v1/sweep             machines × corpora × schemes sweep, streamed as CSV
+//	POST /v1/cache/flush       wipe the result cache and raise its epoch
+//	GET  /healthz              liveness
+//	GET  /metrics              Prometheus-style counters and latency histograms
+//	GET  /v1/debug/traces      recent request traces, newest first
+//	GET  /v1/debug/traces/{id} one request's trace
 //
 // Identical requests are content-hash keyed into an LRU cache and replayed
 // byte-identically; concurrent identical requests coalesce into a single
@@ -55,10 +59,10 @@ type ScheduleRequest struct {
 }
 
 // scheduleRequestWire mirrors ScheduleRequest but holds the loop and
-// machine values raw: the parsed-machine cache intercepts the machine
-// before machine.Config's UnmarshalText (parse + validate) runs, and the
-// batch endpoint synthesizes per-loop singleton bodies by re-marshaling
-// this struct with the envelope's raw segments spliced in verbatim.
+// machine values raw, so that a malformed one is reported as "bad loop:"
+// or "bad machine:" rather than as a bad request body, and so that
+// AppendSubBatch can splice a batch envelope's values into a sub-batch
+// verbatim.
 type scheduleRequestWire struct {
 	Loop     json.RawMessage `json:"loop,omitempty"`
 	LoopText string          `json:"loop_text,omitempty"`
@@ -156,9 +160,10 @@ type errorResponse struct {
 	Error ErrorBody `json:"error"`
 }
 
-// MarshalError renders the unified error envelope for a code and message.
-// The coordinator shares it so both daemons' error bodies are shaped — and
-// byte-rendered — identically.
+// MarshalError renders the unified error envelope for a code and message:
+// a non-2xx response body without its newline, or a failed loop's batch
+// element. The coordinator shares it so both daemons' error bodies and
+// batch elements are shaped — and byte-rendered — identically.
 func MarshalError(code, msg string) []byte {
 	b, err := json.Marshal(errorResponse{Error: ErrorBody{Code: code, Message: msg, Retryable: ErrorRetryable(code)}})
 	if err != nil {
@@ -170,23 +175,15 @@ func MarshalError(code, msg string) []byte {
 
 // scheduleJob is a decoded, validated schedule request.
 type scheduleJob struct {
-	g       *ddg.Graph
-	m       *machine.Config
-	alg     core.Algorithm
-	scheme  string
-	mcState string // machine-cache outcome: "hit", "miss", or "" (grid)
+	g      *ddg.Graph
+	m      *machine.Config
+	alg    core.Algorithm
+	scheme string
 }
 
 // parseScheduleRequest decodes and validates a request body. Any error is a
 // client error (HTTP 400).
 func parseScheduleRequest(body []byte) (*scheduleJob, error) {
-	return parseScheduleRequestCached(body, nil)
-}
-
-// parseScheduleRequestCached is parseScheduleRequest with an optional
-// parsed-machine cache: when mc is non-nil and the machine arrives as a
-// description text, a cache hit skips machine parsing and validation.
-func parseScheduleRequestCached(body []byte, mc *machineCache) (*scheduleJob, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var req scheduleRequestWire
@@ -197,7 +194,7 @@ func parseScheduleRequestCached(body []byte, mc *machineCache) (*scheduleJob, er
 	if err != nil {
 		return nil, err
 	}
-	m, mcState, err := requestMachine(req.Machine, req.Clusters, req.Regs, req.NBus, req.LatBus, mc)
+	m, err := requestMachine(req.Machine, req.Clusters, req.Regs, req.NBus, req.LatBus)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +205,7 @@ func parseScheduleRequestCached(body []byte, mc *machineCache) (*scheduleJob, er
 	if err := admitLoop(g, m); err != nil {
 		return nil, err
 	}
-	return &scheduleJob{g: g, m: m, alg: alg, scheme: scheme, mcState: mcState}, nil
+	return &scheduleJob{g: g, m: m, alg: alg, scheme: scheme}, nil
 }
 
 // parseLoop parses the loop half of a request: the JSON encoding (raw) or
@@ -238,39 +235,39 @@ func parseLoop(raw json.RawMessage, text string) (*ddg.Graph, error) {
 }
 
 // requestMachine resolves the machine half of a request: a description
-// text (raw, through mc when non-nil) or the clusters/regs/nbus/latbus
-// grid. The state is the machine cache's "hit" or "miss", or "" for the
-// grid. The machine is validated and within the served size limits.
-func requestMachine(raw json.RawMessage, clusters, regs, nbus, latbus int, mc *machineCache) (*machine.Config, string, error) {
+// text (raw, a JSON string) or the clusters/regs/nbus/latbus grid. The
+// machine is validated and within the served size limits.
+func requestMachine(raw json.RawMessage, clusters, regs, nbus, latbus int) (*machine.Config, error) {
 	var m *machine.Config
 	switch {
 	case rawPresent(raw) && (clusters != 0 || regs != 0 || nbus != 0 || latbus != 0):
-		return nil, "", fmt.Errorf("give either machine or the clusters/regs/nbus/latbus grid, not both")
+		return nil, fmt.Errorf("give either machine or the clusters/regs/nbus/latbus grid, not both")
 	case rawPresent(raw):
-		// resolveMachine validates, or skips it on a cache hit, where the
-		// cached config already passed.
-		return resolveMachine(raw, mc)
+		m = new(machine.Config)
+		if err := json.Unmarshal(raw, m); err != nil {
+			return nil, fmt.Errorf("bad machine: %v", err)
+		}
 	case clusters == 1:
 		m = machine.NewUnified(defaultRegs(regs))
 	case clusters != 0:
 		var err error
 		m, err = machine.NewClustered(clusters, defaultRegs(regs), defaultOne(nbus), defaultOne(latbus))
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 	default:
-		return nil, "", fmt.Errorf("missing machine: give machine (description text) or clusters")
+		return nil, fmt.Errorf("missing machine: give machine (description text) or clusters")
 	}
 	// The grid constructors check divisibility, not positivity (e.g. -8
 	// registers split evenly); Parse validates internally, the grid paths
 	// must too, so nothing invalid gets past admission.
 	if err := m.Validate(); err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	if err := checkServedMachine(m); err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return m, "", nil
+	return m, nil
 }
 
 // admitLoop applies the cheap admission guards, O(nodes + edges), to a

@@ -83,15 +83,14 @@ func (c Config) algoVersion() string {
 // and Close it after the HTTP server has shut down (Close drains the
 // worker pool).
 type Server struct {
-	cfg      Config
-	algo     string // advertised algorithm identity, from cfg.algoVersion()
-	cache    *lruCache
-	machines *machineCache
-	flight   flightGroup
-	pool     *workerPool
-	metrics  metrics
-	traces   *obs.Ring
-	mux      *http.ServeMux
+	cfg     Config
+	algo    string // advertised algorithm identity, from cfg.algoVersion()
+	cache   *lruCache
+	flight  flightGroup
+	pool    *workerPool
+	metrics metrics
+	traces  *obs.Ring
+	mux     *http.ServeMux
 
 	// computeHook, when set, observes every actual schedule computation
 	// (cache misses that reached a worker). Tests use it to prove
@@ -102,13 +101,12 @@ type Server struct {
 // New returns a ready-to-serve daemon.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:      cfg,
-		algo:     cfg.algoVersion(),
-		cache:    newLRUCache(cfg.cacheEntries()),
-		machines: newMachineCache(),
-		pool:     newWorkerPool(cfg.workers(), cfg.queueDepth()),
-		traces:   obs.NewRing(traceRingSize),
-		mux:      http.NewServeMux(),
+		cfg:    cfg,
+		algo:   cfg.algoVersion(),
+		cache:  newLRUCache(cfg.cacheEntries()),
+		pool:   newWorkerPool(cfg.workers(), cfg.queueDepth()),
+		traces: obs.NewRing(traceRingSize),
+		mux:    http.NewServeMux(),
 	}
 	s.metrics.init()
 	s.mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
@@ -241,25 +239,18 @@ func (s *Server) finishTrace(w http.ResponseWriter, tr *obs.Trace, outcome strin
 	s.traces.Publish(tr)
 }
 
-// readBody reads at most MaxBodyBytes of the request body.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // bodyPool recycles request-body read buffers across requests (part of the
 // request-arena discipline: the schedule hot path should not pay a growing
 // buffer per request).
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readBodyPooled is readBody on pooled storage. The returned release func
-// recycles the backing array; the caller must not retain the bytes past it.
-// That holds on the schedule paths: parsing copies everything it keeps (JSON
-// decoding allocates fresh strings), cache entries store response bytes, and
-// the alias index stores only a hash.
+// readBodyPooled reads at most MaxBodyBytes of the request body into pooled
+// storage. The returned release func recycles the backing array; the caller
+// must not retain the bytes past it. That holds on every path that reads a
+// body: parsing copies everything it keeps (JSON decoding allocates fresh
+// strings, and a machine text is parsed from a copy), cache entries store
+// response bytes, the alias index stores only a hash, and a flush request
+// decodes to a number.
 func (s *Server) readBodyPooled(w http.ResponseWriter, r *http.Request) ([]byte, func(), error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -290,11 +281,12 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, format stri
 // plain local flush that bumps by one. The response reports the epoch now
 // in force.
 func (s *Server) handleCacheFlush(w http.ResponseWriter, r *http.Request) {
-	body, err := s.readBody(w, r)
+	body, release, err := s.readBodyPooled(w, r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "read body: %v", err)
 		return
 	}
+	defer release()
 	var req FlushRequest
 	if len(bytes.TrimSpace(body)) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(body))
@@ -340,23 +332,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 
 	parse := time.Now()
-	job, err := parseScheduleRequestCached(body, s.machines)
+	job, err := parseScheduleRequest(body)
 	if err != nil {
 		s.finishTrace(w, tr, "bad-request")
 		s.writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 		return
 	}
-	tr.PhaseNote("machine-parse", "machine-cache="+job.mcState, time.Since(parse))
-	if job.mcState != "" {
-		// Only machine-description requests touch the parsed-machine
-		// cache; grid requests construct their config directly.
-		w.Header().Set("X-Machine-Cache", job.mcState)
-		if job.mcState == "hit" {
-			s.metrics.machineCacheHits.Add(1)
-		} else {
-			s.metrics.machineCacheMisses.Add(1)
-		}
-	}
+	tr.Phase("parse", time.Since(parse))
 	// Snapshot the epoch once: the key is salted with it, and the same
 	// value travels to cache.Add, so a flush that lands mid-computation
 	// invalidates this request's insert instead of being overwritten.
@@ -528,12 +510,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	tr := obs.AcquireTrace(r.Header.Get(obs.RequestIDHeader), "sweep")
 	tr.SetNode(s.cfg.NodeID)
 
-	body, err := s.readBody(w, r)
+	body, release, err := s.readBodyPooled(w, r)
 	if err != nil {
 		s.finishTrace(w, tr, "bad-request")
 		s.writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "read body: %v", err)
 		return
 	}
+	defer release()
 	var req SweepRequest
 	if len(bytes.TrimSpace(body)) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(body))
@@ -544,7 +527,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	machines, corpora, err := resolveSweep(&req)
+	machines, corpora, err := ResolveSweep(&req)
 	if err != nil {
 		s.finishTrace(w, tr, "bad-request")
 		s.writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
@@ -633,11 +616,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // size-bounded). Exported for the cluster coordinator, which enumerates the
 // same cross-product to shard a job cell-by-cell across the fleet.
 func ResolveSweep(req *SweepRequest) ([]*machine.Config, []bench.Corpus, error) {
-	return resolveSweep(req)
-}
-
-// resolveSweep materializes the request's machine and corpus lists.
-func resolveSweep(req *SweepRequest) ([]*machine.Config, []bench.Corpus, error) {
 	var machines []*machine.Config
 	if len(req.Machines) == 0 {
 		machines = machine.SweepSet()

@@ -535,8 +535,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"gpserved_cache_misses_total 1",
 		"gpserved_cache_entries 1",
 		"gpserved_cache_body_hits_total",
-		"gpserved_machine_cache_hits_total",
-		"gpserved_machine_cache_misses_total",
 		"gpserved_batch_requests_total",
 		"gpserved_batch_loops_total",
 		"gpserved_queue_depth",
