@@ -116,3 +116,54 @@ func checkWorkBound(t *testing.T, job *scheduleJob) {
 		t.Fatalf("modulo II %d above SL0 %d", res.Schedule.II, sl0)
 	}
 }
+
+// FuzzBatchRequest fuzzes the /v1/schedule/batch envelope decoder:
+// arbitrary bytes must never panic, and any envelope it accepts must admit
+// every loop exactly as the loop's singleton request would be admitted —
+// the body carrying that loop under the envelope's machine and scheme.
+// The worker's parseBatch gives each loop the job and error text that
+// parseScheduleRequest gives its singleton, and the coordinator's
+// BatchItems the key and error text that ScheduleCacheKey gives it. That
+// equivalence places a batch's loops where their singletons go and lets
+// batch and singleton traffic share cache entries.
+func FuzzBatchRequest(f *testing.F) {
+	f.Add([]byte(`{"clusters":2,"loops":[{"loop_text":"loop t 10\nnode 0 IntALU\n"}]}`))
+	f.Add([]byte(`{"machine":"machine m\ncluster 1 1 1 8\n","scheme":"Fixed","loops":[{"loop":{"name":"x","niter":5,"nodes":[{"op":"Load"}]}},{"loop_text":"loop broken"}]}`))
+	f.Add([]byte(`{"clusters":2,"loops":[]}`))
+	f.Add([]byte(`{"loops":1}`))
+	f.Add([]byte(`{{{`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, items, err := parseBatch(data)
+		if err != nil {
+			return
+		}
+		pub, err := BatchItems(data)
+		if err != nil || len(pub) != len(items) {
+			t.Fatalf("BatchItems: %d items, %v; parseBatch: %d items", len(pub), err, len(items))
+		}
+		for i, l := range req.Loops {
+			single, err := json.Marshal(&scheduleRequestWire{
+				Loop:     l.Loop,
+				LoopText: l.LoopText,
+				Machine:  req.Machine,
+				Clusters: req.Clusters,
+				Regs:     req.Regs,
+				NBus:     req.NBus,
+				LatBus:   req.LatBus,
+				Scheme:   req.Scheme,
+			})
+			if err != nil {
+				t.Fatalf("loop %d: singleton body: %v", i, err)
+			}
+			job, err := parseScheduleRequest(single)
+			if errText(items[i].err) != errText(err) || !sameJob(items[i].job, job) {
+				t.Fatalf("loop %d: batch %+v, %v\nsingleton %+v, %v", i, items[i].job, items[i].err, job, err)
+			}
+			key, err := ScheduleCacheKey(single)
+			if pub[i].Key != key || errText(pub[i].Err) != errText(err) {
+				t.Fatalf("loop %d: BatchItems %q, %v\nScheduleCacheKey %q, %v", i, pub[i].Key, pub[i].Err, key, err)
+			}
+		}
+	})
+}
